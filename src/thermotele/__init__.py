@@ -44,7 +44,6 @@ from .closed_form import (
 from .densmat import (
     DensityMatrix,
     PureQubit,
-    expm_hermitian,
     gibbs_density,
     hermitian_eigen,
     kron,

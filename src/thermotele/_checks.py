@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optimize import grid_then_golden
 from .averaging import QuadratureGrid, average_all
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
@@ -38,6 +37,57 @@ from .spin_models import (
 )
 from .sweeps import CLASSICAL_LIMIT, _closed_point, _oracle_point
 from .teleport import CorrectionLabel, bell_basis, correction_set, run_outcome
+
+# criterion 9's own dense scan plus golden-section, kept independent of the
+# library's exact angle optimizer
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Golden-section maximization of a unimodal f on [lo, hi].
+
+    Returns (x, f(x)) with the bracket narrowed below ``tol``.
+    """
+    a, b = float(lo), float(hi)
+    h = b - a
+    if h <= tol:
+        x = 0.5 * (a + b)
+        return x, float(f(x))
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    fc, fd = float(f(c)), float(f(d))
+    while h > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            h = b - a
+            c = b - _INV_PHI * h
+            fc = float(f(c))
+        else:
+            a, c, fc = c, d, fd
+            h = b - a
+            d = a + _INV_PHI * h
+            fd = float(f(d))
+    x = c if fc >= fd else d
+    return x, float(f(x))
+
+
+def grid_then_golden(f, lo: float, hi: float, n: int = 4096, tol: float = 1e-12):
+    """Dense-grid argmax refined by golden-section.
+
+    ``f`` must accept a numpy array (the scan) as well as scalars (the
+    refinement).  Robust for the smooth, cheap objectives used here; the
+    scan guards against multiple local maxima and maxima at the ends.
+    """
+    xs = np.linspace(lo, hi, n)
+    vals = np.asarray(f(xs), dtype=float)
+    k = int(np.argmax(vals))
+    a = xs[max(k - 1, 0)]
+    b = xs[min(k + 1, n - 1)]
+    x, v = golden_max(f, a, b, tol=tol)
+    if vals[k] > v:  # never worse than the scan itself
+        return float(xs[k]), float(vals[k])
+    return x, v
+
 
 _BELL_KETS = {
     CorrectionLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),

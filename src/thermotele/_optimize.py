@@ -1,55 +1,87 @@
-"""One-dimensional maximization: dense scan followed by golden-section."""
+"""Exact maximization over the measurement angle.
+
+Every averaged quantity of the protocol is exactly
+
+    u cos(phi)**2 + v sin(phi)**2 + s sin(phi) cos(phi),
+
+a degree-1 trigonometric polynomial in 2 phi, and every efficiency is one
+such quantity (deterministic) or a ratio N/D of two (postselected, D the
+pair probability).  The maximum of such a ratio sits on a short, explicit
+list of angles, each the root of a quadratic form in (cos phi, sin phi),
+so both engines optimize by evaluating that list instead of searching.
+
+Everything stays in the (u, v, s) form: near phi = 0 or pi/2, where
+conclusive teleportation puts its sharpest maxima, the double-angle form
+a0 + a1 cos(2 phi) + a2 sin(2 phi) loses the small quantities to
+cancellation between a0 and a1.
+"""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from typing import NamedTuple
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-12):
-    """Golden-section maximization of a unimodal f on [lo, hi].
+class AngleOptimum(NamedTuple):
+    value: float  # N/D at the optimum
+    phi: float  # measurement angle in [0, pi)
+    den: float  # D at the optimum
 
-    Returns (x, f(x)) with the bracket narrowed below ``tol``.
+
+def _roots(p: float, q: float, s: float) -> list:
+    """Angles where p cos**2 + q sin cos + s sin**2 vanishes.
+
+    Uses the cancellation-free root pair of s t**2 + q t + p = 0 in
+    t = tan(phi), each root kept as a direction so t may be infinite.
     """
-    a, b = float(lo), float(hi)
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, float(f(x))
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    fc, fd = float(f(c)), float(f(d))
-    while h > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INV_PHI * h
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INV_PHI * h
-            fd = float(f(d))
-    x = c if fc >= fd else d
-    return x, float(f(x))
+    disc = q * q - 4.0 * p * s
+    if disc < 0.0 or p == q == s == 0.0:
+        return []
+    h = -0.5 * (q + math.copysign(math.sqrt(disc), q))
+    if h == 0.0:  # q = 0 and one of p, s is 0
+        return [0.0 if p == 0.0 else 0.5 * math.pi]
+    return [math.atan2(h, s), math.atan2(p, h)]
 
 
-def grid_then_golden(f, lo: float, hi: float, n: int = 4096, tol: float = 1e-12):
-    """Dense-grid argmax refined by golden-section.
+def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
+    """Maximize N(phi)/D(phi) over the angles where D >= ``floor``.
 
-    ``f`` must accept a numpy array (the scan) as well as scalars (the
-    refinement).  Robust for the smooth, cheap objectives used here; the
-    scan guards against multiple local maxima and maxima at the ends.
+    ``num`` and ``den`` are (u, v, s) triples as in the module docstring;
+    ``den=None`` means D = 1.  Of the angles whose value lies within
+    ``tie_tol`` of the maximum, the one with the largest D wins, so flat
+    or near-flat maxima resolve to the best success rate.
+
+    The candidates cover every angle either rule can pick: phi = 0, the
+    maximum of D, the stationary points of N/D, the mask edges D = floor
+    (kept as the boundary points they are even where rounding puts them a
+    hair outside), and the edges of the tie window N = (top - tie_tol) D.
     """
-    xs = np.linspace(lo, hi, n)
-    vals = np.asarray(f(xs), dtype=float)
-    k = int(np.argmax(vals))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, n - 1)]
-    x, v = golden_max(f, a, b, tol=tol)
-    if vals[k] > v:  # never worse than the scan itself
-        return float(xs[k]), float(vals[k])
-    return x, v
+    nu, nv, ns = (float(x) for x in num)
+    du, dv, ds = (1.0, 1.0, 0.0) if den is None else (float(x) for x in den)
+    # a constant D is kept exact, so ties keep the candidate order below
+    # instead of going to whichever angle rounds cos**2 + sin**2 up
+    constant = du == dv and ds == 0.0
+
+    def at(phi, forced=False):
+        c, s = math.cos(phi), math.sin(phi)
+        d = du if constant else du * c * c + dv * s * s + ds * s * c
+        if d < floor and not forced:
+            return None
+        return (nu * c * c + nv * s * s + ns * s * c) / d, phi, d
+
+    interior = [0.0, 0.5 * math.atan2(ds, du - dv)]
+    # (N/D)' = 0, i.e. N' D - N D' = 0, as a quadratic form
+    interior += _roots(
+        0.5 * (ns * du - ds * nu), nv * du - nu * dv, 0.5 * (ds * nv - ns * dv)
+    )
+    candidates = [at(phi) for phi in interior]
+    candidates += [at(phi, True) for phi in _roots(du - floor, ds, dv - floor)]
+    candidates = [c for c in candidates if c is not None]
+    if not candidates:
+        raise ValueError("no angle has D above the floor")
+    cut = max(c[0] for c in candidates) - tie_tol
+    candidates += [at(phi) for phi in _roots(nu - cut * du, ns - cut * ds, nv - cut * dv)]
+    window = [c for c in candidates if c is not None and c[0] >= cut]
+    value, phi, d = max(window, key=lambda c: c[2])
+    phi %= math.pi
+    return AngleOptimum(value, 0.0 if phi == math.pi else phi, d)

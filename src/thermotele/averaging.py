@@ -1,9 +1,10 @@
 """Brute-force input-state averages of the teleportation protocol.
 
 The input qubit sqrt(a2)|0> + sqrt(1-a2) e^{i g}|1> is drawn uniformly in
-(a2, g) over [0,1] x [0,2pi) with density 1/2pi (NOT uniform on the Bloch
-sphere).  For every measurement outcome j and correction set this module
-averages, by deterministic quadrature,
+(a2, g) over [0,1] x [0,2pi) with density 1/2pi.  Its Bloch vector has
+z = 2 a2 - 1 uniform on [-1, 1] and azimuth g, so this is the uniform
+measure on the Bloch sphere.  For every measurement outcome j and
+correction set this module averages, by deterministic quadrature,
 
     qbar_j      = E[Q_j]                 (success rate of outcome j)
     fbar_j      = E[F_j Q_j] / E[Q_j]    (postselected efficiency)
@@ -271,9 +272,11 @@ class HarmonicAverages:
 
         u * cos(phi)**2 + v * sin(phi)**2 + s * cos(phi) sin(phi).
 
-    The three coefficient tables are quadrature sums over the same input
-    grid as :func:`average_all`; evaluating at any angle then costs a few
-    flops, which makes dense angle scans over the oracle cheap.
+    The coefficient tables ``q_coef`` (harmonic, outcome) and
+    ``joint_coef`` (harmonic, outcome, set), harmonics in the order
+    (u, v, s), are quadrature sums over the same input grid as
+    :func:`average_all`; evaluating at any angle then costs a few flops,
+    and the angle optimizers work on the tables directly.
     """
 
     def __init__(self, channel, grid: QuadratureGrid = DEFAULT_GRID):
@@ -285,8 +288,8 @@ class HarmonicAverages:
         kets, rho_in = _state_batch(alpha_sq, gamma)
         rot = _rotated_kets(kets)
 
-        self._q_coef = np.empty((3, 4))  # (harmonic, outcome)
-        self._joint_coef = np.empty((3, 4, 4))  # (harmonic, outcome, set)
+        self.q_coef = np.empty((3, 4))  # (harmonic, outcome)
+        self.joint_coef = np.empty((3, 4, 4))  # (harmonic, outcome, set)
         for j in range(4):
             cos_m, sin_m = _BELL_COS[j], _BELL_SIN[j]
             pieces = (
@@ -303,9 +306,9 @@ class HarmonicAverages:
                         "kl,mn,akm,lwnv->awv", m3, m1.conj(), rho_in, ch_t, optimize=True
                     )
                 q, nums = _reduce(weights, rot, energy)
-                self._q_coef[h, j] = q
+                self.q_coef[h, j] = q
                 for e, lab in enumerate(SET_ORDER):
-                    self._joint_coef[h, j, e] = nums[CORRECTION_KEYS[lab][j]]
+                    self.joint_coef[h, j, e] = nums[CORRECTION_KEYS[lab][j]]
 
     @staticmethod
     def _harmonics(phi):
@@ -315,12 +318,12 @@ class HarmonicAverages:
 
     def qbar(self, phi):
         """Success rates; shape phi.shape + (4,)."""
-        return self._harmonics(phi) @ self._q_coef
+        return self._harmonics(phi) @ self.q_coef
 
     def joint(self, phi):
         """E[F_j Q_j] per outcome and set; shape phi.shape + (4, 4)."""
         h = self._harmonics(phi)
-        return np.einsum("...h,hje->...je", h, self._joint_coef)
+        return np.einsum("...h,hje->...je", h, self.joint_coef)
 
     def det_values(self, phi):
         """Deterministic efficiency per set; shape phi.shape + (4,)."""

@@ -9,7 +9,7 @@ deterministic efficiency has a tiny closed form in the two Bloch vectors,
 
 and its optimum over phi and over all four correction sets never exceeds
 2/3.  ``verify_classical_bound`` checks the ceiling through the quadrature
-oracle itself (grid search over phi and all sets), so it validates these
+oracle itself (exact optimum over phi and all sets), so it validates these
 closed forms rather than assuming them.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import grid_then_golden
+from ._optimize import maximize_ratio
 from .averaging import HarmonicAverages, QuadratureGrid
 from .densmat import DensityMatrix
 from .spin_models import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
@@ -126,25 +126,9 @@ def random_separable_channel(rng: np.random.Generator) -> SeparableChannel:
 
 def oracle_det_optimum(channel, grid: QuadratureGrid) -> float:
     """Deterministic optimum over phi and all correction sets, computed
-    entirely through the quadrature oracle (dense scan plus golden-section
-    per set)."""
-    harmonics = HarmonicAverages(channel, grid)
-    scan = np.linspace(0.0, math.pi, 1024)
-    values = harmonics.det_values(scan)
-    best = -np.inf
-    for e in range(4):
-        k = int(np.argmax(values[:, e]))
-        if values[k, e] < best - 1e-4:
-            continue  # cannot catch up within refinement headroom
-        _, v = grid_then_golden(
-            lambda p, e=e: harmonics.det_values(p)[..., e],
-            scan[max(k - 1, 0)],
-            scan[min(k + 1, len(scan) - 1)],
-            n=8,
-            tol=1e-10,
-        )
-        best = max(best, v, float(values[k, e]))
-    return float(best)
+    entirely through the quadrature oracle's angle coefficients."""
+    det = HarmonicAverages(channel, grid).joint_coef.sum(axis=1)
+    return max(maximize_ratio(det[:, e]).value for e in range(4))
 
 
 def verify_classical_bound(samples: int, seed: int, grid: QuadratureGrid | None = None):

@@ -210,7 +210,10 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
         "critical": _cmd_critical,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ mapping.
 All hyperbolic combinations are evaluated in shifted exponential form
 (every exponent is measured from the largest one appearing), so inverse
 temperatures up to ~1e3 never overflow, and the removable 0/0 singularities
-at eta -> 0 or chi -> 0 are handled by a second-order Taylor expansion of
-sinh(beta x)/x.
+at beta eta -> 0 or beta chi -> 0 are handled by a second-order Taylor
+expansion of sinh(beta x)/x.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from enum import Enum
 import numpy as np
 
 from . import _version
-from ._optimize import golden_max
+from ._optimize import maximize_ratio
 from .averaging import DEFAULT_GRID, QuadratureGrid, average_all
 from .spin_models import DerivedParams, HeisenbergParams, thermal_state
 from .teleport import CorrectionLabel
 
-# gap parameter below which sinh(beta x)/x switches to its Taylor expansion
+# beta times a gap parameter below which sinh(beta x)/x switches to its
+# Taylor expansion
 GAP_EPS = 1e-8
 # conditional averages with a postselection denominator below this are degenerate
 DENOM_EPS = 1e-300
@@ -47,9 +48,6 @@ MIN_PAIR_PROBABILITY = 1e-7
 # are broken in favor of the larger success rate (conditional fidelities
 # can plateau exactly, e.g. through a product-state channel)
 SUCCESS_TIE_TOL = 1e-13
-
-PHI_GRID_POINTS = 4096
-PHI_REFINE_TOL = 1e-12
 
 
 class Branch(Enum):
@@ -92,7 +90,7 @@ def _shifted_cosh(beta, x, offset, shift):
 
 def _shifted_sinh_ratio(beta, x, offset, shift):
     """exp(-beta shift) * exp(beta offset) * sinh(beta x)/x with x -> 0 limit."""
-    if x < GAP_EPS:
+    if beta * x < GAP_EPS:
         return beta * math.exp(beta * (offset - shift)) * (1.0 + (beta * x) ** 2 / 6.0)
     return (
         math.exp(beta * (offset + x - shift)) - math.exp(beta * (offset - x - shift))
@@ -197,30 +195,30 @@ def _branch_det_opt(inp: ClosedFormInputs, branch: Branch):
     return float(value), best_phi
 
 
-def _g_terms(inp: ClosedFormInputs, branch: Branch, phi):
-    """Numerator, denominator, and overall scale of the printed g ratio.
+def _g_coefficients(inp: ClosedFormInputs, branch: Branch):
+    """Numerator and denominator of the printed g ratio as (a0, a1, a2)
+    triples, a0 + a1 cos(2 phi) + a2 sin(2 phi), plus the overall scale.
 
-    The denominator equals (pair probability) * 4 * scale, so
-    den / (2 * scale) is the postselected pair's success rate at ``phi``.
+    g = 1/3 + num / (3 den), and den / (2 * scale) is the postselected
+    pair's success rate.
     """
     d = inp.derived
-    phi = np.asarray(phi, dtype=float)
-    cos2, sin2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
     if Branch(branch) is Branch.PHI:
         t = _phi_family(inp)
-        num = t.cosh_chi - t.sinh_chi_ratio * (d.delta_h * cos2 + d.sigma_j * sin2)
+        num = (t.cosh_chi, -t.sinh_chi_ratio * d.delta_h, -t.sinh_chi_ratio * d.sigma_j)
         scale = t.cosh_chi + t.cosh_eta_jz
-        den = scale - cos2 * (
-            d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
-        )
+        tilt = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
     else:
         t = _psi_family(inp)
-        num = t.cosh_eta - t.sinh_eta_ratio * (d.delta_j * sin2 + d.sigma_h * cos2)
+        num = (t.cosh_eta, -t.sinh_eta_ratio * d.sigma_h, -t.sinh_eta_ratio * d.delta_j)
         scale = t.cosh_chi_jz + t.cosh_eta
-        den = scale - cos2 * (
-            d.delta_h * t.sinh_chi_jz_ratio + d.sigma_h * t.sinh_eta_ratio
-        )
-    return num, den, scale
+        tilt = d.delta_h * t.sinh_chi_jz_ratio + d.sigma_h * t.sinh_eta_ratio
+    return num, (scale, -tilt, 0.0), scale
+
+
+def _single_angle(coef):
+    """(a0, a1, a2) in 2 phi as the optimizer's (u, v, s) in phi."""
+    return coef[0] + coef[1], coef[0] - coef[1], 2.0 * coef[2]
 
 
 def g_branch(inp: ClosedFormInputs, branch: Branch, phi):
@@ -229,24 +227,13 @@ def g_branch(inp: ClosedFormInputs, branch: Branch, phi):
     Raises if the postselection denominator collapses (zero average
     probability for the postselected pair).
     """
-    num, den, _ = _g_terms(inp, branch, phi)
+    (n0, n1, n2), (d0, d1, _), _ = _g_coefficients(inp, branch)
+    phi = np.asarray(phi, dtype=float)
+    cos2, sin2 = np.cos(2.0 * phi), np.sin(2.0 * phi)
+    den = d0 + d1 * cos2
     if np.any(den < DENOM_EPS):
         raise ValueError("degenerate conditional average")
-    return 1.0 / 3.0 + num / (3.0 * den)
-
-
-def _g_masked(inp: ClosedFormInputs, branch: Branch, phi):
-    """g with angles of negligible pair probability mapped to -inf.
-
-    Used by the optimizers: below MIN_PAIR_PROBABILITY the conditional
-    average is numerically untrustworthy (and operationally useless), so
-    such angles never win a maximization.
-    """
-    num, den, scale = _g_terms(inp, branch, phi)
-    valid = den >= 2.0 * MIN_PAIR_PROBABILITY * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = 1.0 / 3.0 + num / (3.0 * den)
-    return np.where(valid, g, -np.inf)
+    return 1.0 / 3.0 + (n0 + n1 * cos2 + n2 * sin2) / (3.0 * den)
 
 
 @dataclass(frozen=True)
@@ -264,64 +251,64 @@ class OptimizationResult:
     outcome_pair: tuple | None = None
 
 
+def _printed(branch: Branch) -> Branch:
+    return branch
+
+
+def _det_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
+    """Best of the two branch optima; ``formula_branch`` maps each
+    reported branch to the printed one that describes it."""
+    best = None
+    for branch in (Branch.PHI, Branch.PSI):
+        value, phi = _branch_det_opt(inp, formula_branch(branch))
+        if best is None or value > best.best_value:
+            best = OptimizationResult(value, phi, branch, 1.0, None)
+    return best
+
+
+def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
+    """Exact maximum of g over phi and both branches.
+
+    Angles whose pair probability falls below MIN_PAIR_PROBABILITY are
+    excluded, and fidelities within SUCCESS_TIE_TOL of the top go to the
+    larger success rate.  Pair (2, 3) at phi has the efficiency of pair
+    (1, 4) at pi/2 - phi, so optimizing pair (1, 4) over all angles
+    covers both and the result reports pair (1, 4).
+    """
+    best = None
+    for branch in (Branch.PHI, Branch.PSI):
+        # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
+        # itself, with the tie window scaled to match
+        num, den, scale = _g_coefficients(inp, formula_branch(branch))
+        opt = maximize_ratio(
+            _single_angle(num),
+            _single_angle(den),
+            floor=2.0 * MIN_PAIR_PROBABILITY * scale,
+            tie_tol=3.0 * SUCCESS_TIE_TOL,
+        )
+        if best is None or opt.value > best[0].value:
+            best = (opt, branch)
+    opt, branch = best
+    rate = 2.0 * float(q_rate(inp, opt.phi))
+    return OptimizationResult(1.0 / 3.0 + opt.value / 3.0, opt.phi, branch, rate, (1, 4))
+
+
 def f_det_optimal(inp: ClosedFormInputs) -> OptimizationResult:
     """Best deterministic efficiency over both printed branches.
 
     The optimum always sits at phi = +/- pi/4 (the standard Bell basis);
     only the sign, fixed by sigma_j and delta_j, varies.
     """
-    phi_val, phi_phi = _branch_det_opt(inp, Branch.PHI)
-    psi_val, psi_phi = _branch_det_opt(inp, Branch.PSI)
-    if phi_val >= psi_val:
-        return OptimizationResult(phi_val, phi_phi, Branch.PHI, 1.0, None)
-    return OptimizationResult(psi_val, psi_phi, Branch.PSI, 1.0, None)
-
-
-_PHI_SCAN = np.linspace(0.0, math.pi, PHI_GRID_POINTS)
-
-
-def _maximize_g(inp: ClosedFormInputs, branch: Branch):
-    """Maximize g over [0, pi]: dense scan, golden refinement, and a
-    success-rate tie-break over angles within SUCCESS_TIE_TOL of the top."""
-    vals = np.asarray(_g_masked(inp, branch, _PHI_SCAN))
-    k = int(np.argmax(vals))
-    phi_ref, val_ref = golden_max(
-        lambda p: _g_masked(inp, branch, p),
-        _PHI_SCAN[max(k - 1, 0)],
-        _PHI_SCAN[min(k + 1, PHI_GRID_POINTS - 1)],
-        tol=PHI_REFINE_TOL,
-    )
-    if vals[k] > val_ref:
-        phi_ref, val_ref = float(_PHI_SCAN[k]), float(vals[k])
-    ties = np.nonzero(vals >= val_ref - SUCCESS_TIE_TOL)[0]
-    cand_phi = np.append(_PHI_SCAN[ties], phi_ref)
-    cand_val = np.append(vals[ties], val_ref)
-    rates = np.asarray(q_rate(inp, cand_phi))
-    j = int(np.argmax(rates))
-    return float(cand_val[j]), float(cand_phi[j])
+    return _det_optimum(inp, _printed)
 
 
 def prob_optimal(inp: ClosedFormInputs) -> OptimizationResult:
     """Best postselected efficiency over both printed branches and phi.
 
     The returned success rate is that of the postselected outcome pair,
-    2 q(phi_opt).  Which pair attains the optimum is decided by comparing
-    the pair efficiencies at the optimal angle, not assumed from labels.
+    2 q(phi_opt).
     """
-    phi_val, phi_phi = _maximize_g(inp, Branch.PHI)
-    psi_val, psi_phi = _maximize_g(inp, Branch.PSI)
-    if phi_val >= psi_val:
-        branch, value, best_phi = Branch.PHI, phi_val, phi_phi
-    else:
-        branch, value, best_phi = Branch.PSI, psi_val, psi_phi
-    mirrored = float(_g_masked(inp, branch, math.pi / 2.0 - best_phi))
-    if mirrored > value + 1e-12:
-        pair = (2, 3)
-        rate = 2.0 * float(q_rate(inp, math.pi / 2.0 - best_phi))
-    else:
-        pair = (1, 4)
-        rate = 2.0 * float(q_rate(inp, best_phi))
-    return OptimizationResult(value, best_phi, branch, rate, pair)
+    return _prob_optimum(inp, _printed)
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +543,6 @@ def default_mapping() -> ConventionMapping:
 # reconciled user-facing evaluations (physical branch labels)
 
 
-def reconciled_qrate(
-    p: HeisenbergParams, beta: float, phi, mapping: ConventionMapping | None = None
-):
-    """Success rate of outcome pair (1, 4) under the resolved mapping."""
-    mapping = mapping or default_mapping()
-    return q_rate(mapping.inputs(p, beta), phi)
-
-
 def reconciled_pair_rate(
     p: HeisenbergParams,
     beta: float,
@@ -583,13 +562,7 @@ def reconciled_det_optimal(
 ) -> OptimizationResult:
     """Deterministic optimum with physically labeled branches."""
     mapping = mapping or default_mapping()
-    inp = mapping.inputs(p, beta)
-    best = None
-    for physical in (Branch.PHI, Branch.PSI):
-        value, phi = _branch_det_opt(inp, mapping.formula_branch(physical))
-        if best is None or value > best.best_value:
-            best = OptimizationResult(value, phi, physical, 1.0, None)
-    return best
+    return _det_optimum(mapping.inputs(p, beta), mapping.formula_branch)
 
 
 def reconciled_prob_optimal(
@@ -600,19 +573,4 @@ def reconciled_prob_optimal(
     success_rate is 2 q(phi_opt) for the postselected pair.
     """
     mapping = mapping or default_mapping()
-    inp = mapping.inputs(p, beta)
-    best = None
-    for physical in (Branch.PHI, Branch.PSI):
-        value, phi = _maximize_g(inp, mapping.formula_branch(physical))
-        if best is None or value > best[0]:
-            best = (value, phi, physical)
-    value, best_phi, branch = best
-    formula = mapping.formula_branch(branch)
-    mirrored = float(_g_masked(inp, formula, math.pi / 2.0 - best_phi))
-    if mirrored > value + 1e-12:
-        pair = (2, 3)
-        rate = 2.0 * float(q_rate(inp, math.pi / 2.0 - best_phi))
-    else:
-        pair = (1, 4)
-        rate = 2.0 * float(q_rate(inp, best_phi))
-    return OptimizationResult(value, best_phi, branch, rate, pair)
+    return _prob_optimum(mapping.inputs(p, beta), mapping.formula_branch)

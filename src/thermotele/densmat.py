@@ -4,7 +4,7 @@ Every operator in this package lives on one, two, or three qubits, so
 matrices are plain numpy arrays of shape (2, 2), (4, 4), or (8, 8).
 This module provides the small set of primitives everything else is built
 on (Kronecker products, partial traces, Hermitian eigendecomposition,
-Hermitian matrix exponentials) together with the validated value types
+Gibbs states) together with the validated value types
 ``DensityMatrix`` and ``PureQubit``.
 """
 
@@ -170,20 +170,6 @@ def hermitian_eigen(m, tol: float = 1e-10):
         raise ValueError("expected Hermitian")
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     return w, v
-
-
-def expm_hermitian(m, scale: float = 1.0) -> np.ndarray:
-    """exp(scale * m) for Hermitian m, via eigendecomposition.
-
-    The exponentials are evaluated relative to the largest scaled
-    eigenvalue, so intermediate factors never overflow as long as the
-    final result is representable.
-    """
-    w, v = hermitian_eigen(m)
-    exponents = scale * w
-    shift = float(np.max(exponents))
-    core = (v * np.exp(exponents - shift)) @ v.conj().T
-    return math.exp(shift) * core if shift <= 700.0 else np.exp(shift) * core
 
 
 def gibbs_density(h, beta: float):

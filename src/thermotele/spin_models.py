@@ -26,11 +26,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
-# Literature value of the infinite-order critical anisotropy for the
-# field-carrying XXZ chain at (J=1, h=4).  Documented for reference only;
-# it is not computed here and no code path depends on it.
-XXZ_DELTA_INF_LITERATURE = 2.74
-
 
 def _require_finite(**fields):
     for name, value in fields.items():

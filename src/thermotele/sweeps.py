@@ -11,14 +11,13 @@ writes a JSON report.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import _version
-from ._optimize import grid_then_golden
+from ._optimize import maximize_ratio
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
@@ -162,76 +161,34 @@ class SweepRecord:
 # oracle engine
 
 
-def _masked_pair_cond(harmonics: HarmonicAverages, phi, pair):
-    """Pair-conditional fidelities with operationally unreachable angles
-    (pair probability below MIN_PAIR_PROBABILITY) mapped to -inf, matching
-    the closed-form optimizer's domain."""
-    cond = np.asarray(harmonics.pair_cond(phi, pair))
-    prob = np.asarray(harmonics.pair_probability(phi, pair))[..., None]
-    return np.where(
-        (prob >= MIN_PAIR_PROBABILITY) & ~np.isnan(cond), cond, -np.inf
-    )
-
-
 def _oracle_det(harmonics: HarmonicAverages):
-    scan = np.linspace(0.0, math.pi, 4096)
-    values = harmonics.det_values(scan)
+    det = harmonics.joint_coef.sum(axis=1)
     best = None
     for e, label in enumerate(CorrectionLabel):
-        k = int(np.argmax(values[:, e]))
-        phi, val = grid_then_golden(
-            lambda p, e=e: harmonics.det_values(p)[..., e],
-            scan[max(k - 1, 0)],
-            scan[min(k + 1, len(scan) - 1)],
-            n=8,
-            tol=1e-12,
-        )
-        val = max(val, float(values[k, e]))
-        if best is None or val > best[0]:
-            best = (val, phi, label)
+        opt = maximize_ratio(det[:, e])
+        if best is None or opt.value > best[0]:
+            best = (opt.value, opt.phi, label)
     return best
 
 
 def _oracle_prob(harmonics: HarmonicAverages):
     """Best postselected efficiency over sets, outcome pairs, and phi.
 
-    Mirrors the closed-form optimizer: dense scan plus golden refinement,
-    with fidelity ties broken in favor of the larger success rate.
+    Same rules as the closed-form optimizer: angles below
+    MIN_PAIR_PROBABILITY are unreachable, and fidelity ties go to the
+    larger success rate.
     """
-    scan = np.linspace(0.0, math.pi, 4096)
     best = None
     for pair in ((1, 4), (2, 3)):
-        cond = _masked_pair_cond(harmonics, scan, pair)
-        prob_scan = np.asarray(harmonics.pair_probability(scan, pair))
+        rows = [pair[0] - 1, pair[1] - 1]
+        den = harmonics.q_coef[:, rows].sum(axis=1)
+        num = harmonics.joint_coef[:, rows, :].sum(axis=1)
         for e, label in enumerate(CorrectionLabel):
-            col = cond[:, e]
-            if not np.isfinite(col).any():
-                continue
-            k = int(np.argmax(col))
-
-            def objective(p, e=e, pair=pair):
-                return _masked_pair_cond(harmonics, p, pair)[..., e]
-
-            phi_ref, val_ref = grid_then_golden(
-                objective,
-                scan[max(k - 1, 0)],
-                scan[min(k + 1, len(scan) - 1)],
-                n=8,
-                tol=1e-12,
+            opt = maximize_ratio(
+                num[:, e], den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL
             )
-            if col[k] > val_ref:
-                phi_ref, val_ref = float(scan[k]), float(col[k])
-            ties = np.nonzero(col >= val_ref - SUCCESS_TIE_TOL)[0]
-            cand_phi = np.append(scan[ties], phi_ref)
-            cand_val = np.append(col[ties], val_ref)
-            cand_rate = np.append(
-                prob_scan[ties], float(harmonics.pair_probability(phi_ref, pair))
-            )
-            j = int(np.argmax(cand_rate))
-            val, phi, rate = float(cand_val[j]), float(cand_phi[j]), float(cand_rate[j])
-            if val <= (best[0] + 1e-12 if best else -np.inf):
-                continue
-            best = (val, phi, label, pair, rate)
+            if best is None or opt.value > best[0] + 1e-12:
+                best = (opt.value, opt.phi, label, pair, opt.den)
     return best
 
 
@@ -293,6 +250,8 @@ def evaluate_point(
     """One sweep point.  ``values`` holds the model-native parameters."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if not kt > 0.0:
+        raise ValueError(f"kT must be positive, got {kt}")
     if mapping is None and engine != "oracle":
         mapping = _resolve_mapping(engine)
     values = {_canonical_key(k): float(v) for k, v in values.items()}

@@ -201,3 +201,30 @@ class TestHarmonicAverages:
         pair = h.pair_cond(phi, (1, 4))
         # with F1 = F4 the pair-conditional equals the per-outcome value
         assert np.max(np.abs(pair - av.fbar_cond[0])) < 1e-10
+
+
+class TestFullyEntangledFraction:
+    """Independent physics: with inputs uniform on the Bloch sphere, the
+    standard protocol with the corrections matched to Bell state B has
+    average fidelity (2 <B|rho|B> + 1) / 3, where <B|rho|B> is the channel's
+    overlap with B (its fully entangled fraction when B is the best Bell
+    state; Horodecki, Horodecki & Horodecki, PRA 60, 1888 (1999))."""
+
+    BELL = {
+        CorrectionLabel.PHI_PLUS: np.array([1, 0, 0, 1]) / math.sqrt(2),
+        CorrectionLabel.PHI_MINUS: np.array([1, 0, 0, -1]) / math.sqrt(2),
+        CorrectionLabel.PSI_PLUS: np.array([0, 1, 1, 0]) / math.sqrt(2),
+        CorrectionLabel.PSI_MINUS: np.array([0, 1, -1, 0]) / math.sqrt(2),
+    }
+
+    def test_deterministic_efficiency_at_quarter_pi(self):
+        rng = np.random.default_rng(18)
+        worst = 0.0
+        for kt in np.logspace(-2, 2, 200):
+            rho = thermal_state(HeisenbergParams(*rng.uniform(-3, 3, 5)), kt).rho
+            av = average_all(rho, math.pi / 4, QuadratureGrid(8, 8))
+            for e, label in enumerate(SET_ORDER):
+                ket = self.BELL[label]
+                overlap = float(np.real(ket @ rho.mat @ ket))
+                worst = max(worst, abs(av.fbar_det[e] - (2.0 * overlap + 1.0) / 3.0))
+        assert worst <= 1e-13

@@ -82,3 +82,21 @@ def test_figure_subcommand(tmp_path, capsys):
     assert status == 0
     assert (tmp_path / "xx_det.csv").exists()
     assert (tmp_path / "fig3.gp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--model", "ising", "--lambda", "0.7", "--kt", "-1"],
+        ["point", "--model", "xy", "--lambda", "0.7", "--zeta", "2", "--kt", "1"],
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+         "--from", "-1", "--to", "1", "--steps", "3"],
+    ],
+)
+def test_bad_physical_input_is_a_one_line_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("thermotele: error: ")
+    assert err.count("\n") == 1

@@ -6,7 +6,6 @@ import pytest
 from thermotele.densmat import (
     DensityMatrix,
     PureQubit,
-    expm_hermitian,
     gibbs_density,
     hermitian_eigen,
     kron,
@@ -138,42 +137,7 @@ class TestHermitianEigen:
             hermitian_eigen(m)
 
 
-def taylor_expm(m, scale):
-    """Independent scaling-and-squaring Taylor oracle for exp(scale*m)."""
-    a = scale * m
-    squarings = max(0, int(np.ceil(np.log2(max(np.linalg.norm(a, 2), 1e-30) / 0.25))))
-    a = a / (2.0**squarings)
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 60):
-        term = term @ a / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-20:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-class TestExpm:
-    def test_zero_matrix(self):
-        assert np.allclose(expm_hermitian(np.zeros((4, 4)), 3.7), np.eye(4))
-
-    def test_sigma_z(self):
-        out = expm_hermitian(SZ, 1.0)
-        assert np.allclose(out, np.diag([math.e, 1 / math.e]), atol=1e-14)
-
-    def test_against_taylor_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = 0.5 * (m + m.conj().T)
-            scale = rng.uniform(-1.0, 1.0)
-            norm = np.linalg.norm(scale * m, 2)
-            if norm > 1e-12:
-                scale *= min(1.0, 20.0 / norm)  # keep ||scale*m|| <= 20
-            assert np.max(np.abs(expm_hermitian(m, scale) - taylor_expm(m, scale))) < 1e-10
-
+class TestGibbsDensity:
     def test_gibbs_density_normalized(self):
         rng = np.random.default_rng(9)
         h = random_hermitian(rng, 4)

@@ -1,0 +1,159 @@
+"""The exact angle optimizer against a dense scan plus golden-section search.
+
+The reference below is the scan-based search the optimizer replaced: a
+4096-point scan of [0, pi], golden-section refinement around the best scan
+point, the MIN_PAIR_PROBABILITY-style mask and the success-rate tie-break
+on the scan points.  The exact optimizer must never lose to it.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermotele._checks import golden_max
+from thermotele._optimize import maximize_ratio
+from thermotele.closed_form import (
+    MIN_PAIR_PROBABILITY,
+    SUCCESS_TIE_TOL,
+    Branch,
+    ClosedFormInputs,
+    _g_coefficients,
+    _single_angle,
+)
+from thermotele.spin_models import HeisenbergParams
+
+SCAN = np.linspace(0.0, math.pi, 4096)
+
+
+def harmonic(coef, phi):
+    c, s = np.cos(phi), np.sin(phi)
+    return coef[0] * c * c + coef[1] * s * s + coef[2] * s * c
+
+
+def masked_ratio(num, den, floor, phi):
+    d = harmonic(den, phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(d >= floor, harmonic(num, phi) / d, -np.inf)
+
+
+def reference_max(num, den, floor, tie_tol):
+    """(value, phi) by scan, golden-section refinement and tie-break."""
+    vals = masked_ratio(num, den, floor, SCAN)
+    k = int(np.argmax(vals))
+    phi_ref, val_ref = golden_max(
+        lambda p: masked_ratio(num, den, floor, p),
+        SCAN[max(k - 1, 0)],
+        SCAN[min(k + 1, len(SCAN) - 1)],
+        tol=1e-12,
+    )
+    if vals[k] > val_ref:
+        phi_ref, val_ref = float(SCAN[k]), float(vals[k])
+    ties = np.nonzero(vals >= val_ref - tie_tol)[0]
+    cand_phi = np.append(SCAN[ties], phi_ref)
+    cand_val = np.append(vals[ties], val_ref)
+    j = int(np.argmax(harmonic(den, cand_phi)))
+    return float(cand_val[j]), float(cand_phi[j])
+
+
+def den_max(den):
+    return 0.5 * (den[0] + den[1]) + math.hypot(0.5 * (den[0] - den[1]), 0.5 * den[2])
+
+
+def peaked(top, depth, phi0):
+    """(u, v, s) of top - depth * sin(phi - phi0)**2, maximal at phi0."""
+    a1, a2 = 0.5 * depth * math.cos(2 * phi0), 0.5 * depth * math.sin(2 * phi0)
+    a0 = top - 0.5 * depth
+    return (a0 + a1, a0 - a1, 2 * a2)
+
+
+unit = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def problems(draw):
+    """(num, den, floor, tie_tol) with D a probability-like form >= 0."""
+    du, dv = draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 2.0))
+    ds = draw(st.floats(-1.0, 1.0)) * 2.0 * math.sqrt(du * dv)
+    den = (du, dv, ds)
+    kind = draw(st.sampled_from(["random", "plateau", "below_pi"]))
+    if kind == "random":
+        num = (draw(unit), draw(unit), draw(unit))
+    elif kind == "plateau":
+        level = draw(unit)
+        eps = draw(st.sampled_from([0.0, 1e-15, 1e-14, 1e-13, 1e-12, 1e-10]))
+        num = tuple(level * d + eps * draw(unit) for d in den)
+    else:
+        den = (1.0, 1.0, 0.0)
+        delta = draw(st.floats(1e-7, 1e-3))
+        num = peaked(draw(unit), draw(st.floats(0.1, 2.0)), math.pi - delta)
+    # masks from one that only keeps D off zero to one that leaves a sliver
+    floor = draw(st.floats(1e-3, 0.95)) * den_max(den)
+    tie_tol = draw(st.sampled_from([0.0, SUCCESS_TIE_TOL, 3 * SUCCESS_TIE_TOL]))
+    return num, den, floor, tie_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_never_beaten_by_scan_and_golden_section(problem):
+    num, den, floor, tie_tol = problem
+    opt = maximize_ratio(num, den, floor, tie_tol)
+    ref_value, _ = reference_max(num, den, floor, tie_tol)
+    assert opt.value >= ref_value - 1e-12 * max(1.0, abs(ref_value))
+    assert 0.0 <= opt.phi < math.pi
+    assert opt.den >= floor * (1 - 1e-12)
+    at_phi = float(masked_ratio(num, den, -np.inf, opt.phi))
+    assert abs(at_phi - opt.value) <= 1e-12 * max(1.0, abs(opt.value))
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit, st.floats(0.1, 2.0), st.floats(0.0, math.pi))
+def test_deterministic_optimum_is_the_amplitude(top, depth, phi0):
+    opt = maximize_ratio(peaked(top, depth, phi0))
+    assert abs(opt.value - top) <= 1e-14
+    assert opt.den == 1.0
+    # the peak is sharp, so the angle comes back to rounding
+    gap = abs(opt.phi - phi0) % math.pi
+    assert min(gap, math.pi - gap) <= 1e-7
+
+
+def test_plateau_goes_to_the_largest_success_rate():
+    den = (0.2, 1.4, 0.3)
+    opt = maximize_ratio(tuple(0.7 * d for d in den), den, 0.01, SUCCESS_TIE_TOL)
+    assert abs(opt.value - 0.7) <= 1e-15
+    assert abs(opt.den - den_max(den)) <= 1e-15
+
+
+def test_maximum_just_below_pi():
+    # printed phi-branch whose maximum sits at phi = pi - 2e-4; the scan
+    # search this optimizer replaced returned 0.43195283 at phi = 0, since
+    # its best scan point landed on phi = 0 and golden-section cannot wrap
+    p = HeisenbergParams(
+        0.21998455972851083, 0.04060801881951548, -0.7978208084658007,
+        2.1915011055941287, 2.406589286683187,
+    )
+    inp = ClosedFormInputs.from_heisenberg(p, 3.210895862626366)
+    num, den, scale = _g_coefficients(inp, Branch.PHI)
+    num, den = _single_angle(num), _single_angle(den)
+    floor = 2.0 * MIN_PAIR_PROBABILITY * scale
+    opt = maximize_ratio(num, den, floor, 3 * SUCCESS_TIE_TOL)
+    g = 1.0 / 3.0 + opt.value / 3.0
+    assert abs(g - 0.43196166) <= 1e-8
+    assert abs(opt.phi - 3.14137) <= 1e-5
+    phis = np.linspace(math.pi - 1e-3, math.pi, 100_001)
+    assert opt.value >= float(np.max(masked_ratio(num, den, floor, phis))) - 1e-12
+
+
+def test_closed_branches_never_beaten_by_reference():
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        p = HeisenbergParams(*rng.uniform(-3, 3, 5))
+        inp = ClosedFormInputs.from_heisenberg(p, float(rng.uniform(0.05, 20.0)))
+        for branch in Branch:
+            num, den, scale = _g_coefficients(inp, branch)
+            num, den = _single_angle(num), _single_angle(den)
+            floor = 2.0 * MIN_PAIR_PROBABILITY * scale
+            opt = maximize_ratio(num, den, floor, 3 * SUCCESS_TIE_TOL)
+            ref_value, _ = reference_max(num, den, floor, 3 * SUCCESS_TIE_TOL)
+            assert opt.value >= ref_value - 1e-12

@@ -92,6 +92,14 @@ class TestRunSweep:
             assert r.engine_disagreement is not None
             assert r.engine_disagreement <= 1e-8
 
+    def test_near_degenerate_gap_at_low_temperature(self):
+        # the phi-sector gap parameter eta is only 5e-9, but beta eta is 50,
+        # far outside the small-argument range of sinh(beta x)/x
+        r = evaluate_point(
+            "raw", {"jx": 1 + 2.5e-9, "jy": 1 - 2.5e-9, "jz": -2}, 1e-10, engine="both"
+        )
+        assert r.engine_disagreement <= 1e-8
+
     def test_raw_model(self):
         r = evaluate_point(
             "raw", {"jx": 1.0, "jy": -0.5, "jz": 0.3, "ha": 1.0, "hb": -0.2}, 0.5
