@@ -1,4 +1,4 @@
-"""Brute-force input-state averages of the teleportation protocol.
+"""Input-state averages of the teleportation protocol.
 
 The input qubit sqrt(a2)|0> + sqrt(1-a2) e^{i g}|1> is drawn uniformly in
 (a2, g) over [0,1] x [0,2pi) with density 1/2pi.  Its Bloch vector has
@@ -15,6 +15,13 @@ input phase g and polynomials of degree <= 2 in a2, so the default
 Gauss-Legendre x uniform grid integrates them exactly; doubling the node
 counts only moves results at roundoff level.
 
+Every such average is linear in the 16 entries of the channel matrix.
+The quadrature therefore runs once per grid, into the input state's
+second and fourth moments, which fix a channel-independent linear map;
+a channel's averages are that map applied to its entries.  Only the
+Monte Carlo estimator, kept as an independent check, sums over inputs
+per channel.
+
 These averages define ground truth for every closed-form expression in
 the package.
 """
@@ -26,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densmat import DensityMatrix
+from .densmat import channel_matrix
 from .teleport import CORRECTION_KEYS, CorrectionLabel, _U_BY_KEY
 
 SET_ORDER = tuple(CorrectionLabel)
@@ -104,13 +111,6 @@ class AveragedQuantities:
         return float(self.fbar_cond[j - 1, SET_ORDER.index(CorrectionLabel(label))])
 
 
-def _channel_array(channel) -> np.ndarray:
-    ch = channel.mat if isinstance(channel, DensityMatrix) else np.asarray(channel, dtype=complex)
-    if ch.shape != (4, 4):
-        raise ValueError("channel must be a 4x4 density matrix")
-    return ch
-
-
 def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
     """Kets and pure density matrices for a batch of input coordinates."""
     a = np.sqrt(alpha_sq)
@@ -120,58 +120,49 @@ def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
     return kets, rho
 
 
-def _grid_batch(grid: QuadratureGrid):
-    a2, wa = grid.alpha_nodes()
-    g, wg = grid.gamma_nodes()
-    alpha_sq = np.repeat(a2, grid.n_gamma)
-    gamma = np.tile(g, grid.n_alpha)
-    weights = np.repeat(wa, grid.n_gamma) * np.tile(wg, grid.n_alpha)
-    return weights, alpha_sq, gamma
-
-
 def _rotated_kets(kets: np.ndarray):
     """kets premultiplied by U^dagger for each distinct correction Pauli."""
     return {key: kets @ u.conj() for key, u in _U_BY_KEY.items()}
 
 
-def _reduce(weights, kets_rot, energy):
-    """Weighted sums of Tr E and <psi|U E U^dag|psi> over the state batch."""
-    qbar = float(np.einsum("a,aww->", weights, energy).real)
-    nums = {}
-    for key, kr in kets_rot.items():
-        nums[key] = float(
-            np.einsum("a,aw,awv,av->", weights, kr.conj(), energy, kr).real
-        )
-    return qbar, nums
+@lru_cache(maxsize=8)
+def _oracle_maps(grid: QuadratureGrid):
+    """The quadrature averages on ``grid`` as linear maps of the channel.
 
+    Returns read-only complex arrays ``q_map`` (harmonic, outcome, 16) and
+    ``joint_map`` (harmonic, outcome, set, 16); contracting them with the
+    flattened channel matrix gives ``q_coef`` and ``joint_coef`` of
+    :class:`HarmonicAverages`.  With input ket psi, outcome j projects
+    qubits 1 and 2 onto sum_kl B[k, l] |k l>, so Q_j is linear in the
+    second moment E[psi_k psi*_m] and F_j Q_j in the fourth moment
+    E[psi_k psi*_m psi*_x psi_y]; the node sum runs once, into those.
+    """
+    if grid.n_alpha < 8 or grid.n_gamma < 8:
+        raise ValueError("the quadrature oracle requires at least 8 nodes per axis")
+    a2, wa = grid.alpha_nodes()
+    g, wg = grid.gamma_nodes()
+    weights = np.outer(wa, wg).ravel()
+    kets, _ = _state_batch(np.repeat(a2, grid.n_gamma), np.tile(g, grid.n_alpha))
+    bra = kets.conj()
+    second = np.einsum("a,ak,am->km", weights, kets, bra)
+    fourth = np.einsum("a,ak,am,ax,ay->kmxy", weights, kets, bra, bra, kets)
 
-def _assemble(qbar, nums):
-    qbar = np.asarray(qbar)
-    joint = np.array(
-        [[nums[j][CORRECTION_KEYS[lab][j]] for lab in SET_ORDER] for j in range(4)]
-    )
-    fbar_det = joint.sum(axis=0)
-    defined = qbar >= UNDEFINED_QBAR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fbar_cond = np.where(defined[:, None], joint / qbar[:, None], np.nan)
-    return qbar, joint, fbar_det, defined, fbar_cond
+    # B[k, l] B'[m, n] per harmonic (cos^2, sin^2, cos sin) and outcome
+    cc = np.einsum("jkl,jmn->jklmn", _BELL_COS, _BELL_COS)
+    ss = np.einsum("jkl,jmn->jklmn", _BELL_SIN, _BELL_SIN)
+    cs = np.einsum("jkl,jmn->jklmn", _BELL_COS, _BELL_SIN)
+    pieces = np.stack([cc, ss, cs + cs.transpose(0, 3, 4, 1, 2)])
 
-
-def _average_on_batch(channel, phi, weights, alpha_sq, gamma):
-    ch_t = _channel_array(channel).reshape(2, 2, 2, 2)
-    kets, rho_in = _state_batch(alpha_sq, gamma)
-    rot = _rotated_kets(kets)
-    c, s = np.cos(phi), np.sin(phi)
-    qbar = np.empty(4)
-    nums = []  # per outcome: dict pauli-key -> E[F Q]
-    for j in range(4):
-        coeff = c * _BELL_COS[j] + s * _BELL_SIN[j]
-        energy = np.einsum(
-            "kl,mn,akm,lwnv->awv", coeff, coeff.conj(), rho_in, ch_t, optimize=True
-        )
-        qbar[j], num_j = _reduce(weights, rot, energy)
-        nums.append(num_j)
-    return qbar, nums
+    # channel entries rho[(l, w), (n, v)] flatten to index 8l + 4w + 2n + v
+    q_map = np.einsum("hjklmn,km,wv->hjlwnv", pieces, second, np.eye(2)).reshape(3, 4, 16)
+    # Bob's correction U for outcome j under set e
+    u = np.array([[_U_BY_KEY[CORRECTION_KEYS[lab][j]] for lab in SET_ORDER] for j in range(4)])
+    joint_map = np.einsum(
+        "hjklmn,kmxy,jexw,jeyv->hjelwnv", pieces, fourth, u, u.conj(), optimize=True
+    ).reshape(3, 4, 4, 16)
+    q_map.setflags(write=False)
+    joint_map.setflags(write=False)
+    return q_map, joint_map
 
 
 def average_all(channel, phi: float, grid: QuadratureGrid = DEFAULT_GRID) -> AveragedQuantities:
@@ -180,18 +171,7 @@ def average_all(channel, phi: float, grid: QuadratureGrid = DEFAULT_GRID) -> Ave
     Conditional fidelities are computed strictly as the ratio of the two
     integrals E[F_j Q_j] / E[Q_j], never as a pointwise average of F_j.
     """
-    if grid.n_alpha < 8 or grid.n_gamma < 8:
-        raise ValueError("average_all requires at least 8 nodes per axis")
-    weights, alpha_sq, gamma = _grid_batch(grid)
-    qbar, nums = _average_on_batch(channel, phi, weights, alpha_sq, gamma)
-    qbar, _, fbar_det, defined, fbar_cond = _assemble(qbar, nums)
-    return AveragedQuantities(
-        phi=float(phi),
-        qbar=qbar,
-        fbar_cond=fbar_cond,
-        fbar_det=fbar_det,
-        defined=defined,
-    )
+    return HarmonicAverages(channel, grid).at(phi)
 
 
 def average_all_montecarlo(
@@ -208,7 +188,7 @@ def average_all_montecarlo(
     rng = np.random.default_rng(seed)
     alpha_sq = rng.uniform(0.0, 1.0, samples)
     gamma = rng.uniform(0.0, 2.0 * np.pi, samples)
-    ch_t = _channel_array(channel).reshape(2, 2, 2, 2)
+    ch_t = channel_matrix(channel).reshape(2, 2, 2, 2)
     kets, rho_in = _state_batch(alpha_sq, gamma)
     rot = _rotated_kets(kets)
     c, s = np.cos(phi), np.sin(phi)
@@ -265,7 +245,8 @@ def average_all_montecarlo(
 
 
 class HarmonicAverages:
-    """The same quadrature averages, organized by their exact phi dependence.
+    """The quadrature averages of one channel, organized by their exact phi
+    dependence.
 
     For every outcome the projected operator is quadratic in
     (cos phi, sin phi), so each averaged quantity is exactly
@@ -274,41 +255,19 @@ class HarmonicAverages:
 
     The coefficient tables ``q_coef`` (harmonic, outcome) and
     ``joint_coef`` (harmonic, outcome, set), harmonics in the order
-    (u, v, s), are quadrature sums over the same input grid as
-    :func:`average_all`; evaluating at any angle then costs a few flops,
-    and the angle optimizers work on the tables directly.
+    (u, v, s), are linear in the channel: the quadrature runs once per
+    grid, into the input state's moments, and a channel's tables are one
+    product of the grid's cached linear map with its 16 matrix entries.
+    Evaluating at any angle then costs a few flops, and the angle
+    optimizers work on the tables directly.
     """
 
     def __init__(self, channel, grid: QuadratureGrid = DEFAULT_GRID):
-        if grid.n_alpha < 8 or grid.n_gamma < 8:
-            raise ValueError("HarmonicAverages requires at least 8 nodes per axis")
         self.grid = grid
-        ch_t = _channel_array(channel).reshape(2, 2, 2, 2)
-        weights, alpha_sq, gamma = _grid_batch(grid)
-        kets, rho_in = _state_batch(alpha_sq, gamma)
-        rot = _rotated_kets(kets)
-
-        self.q_coef = np.empty((3, 4))  # (harmonic, outcome)
-        self.joint_coef = np.empty((3, 4, 4))  # (harmonic, outcome, set)
-        for j in range(4):
-            cos_m, sin_m = _BELL_COS[j], _BELL_SIN[j]
-            pieces = (
-                (cos_m, cos_m, None),
-                (sin_m, sin_m, None),
-                (cos_m, sin_m, sin_m),  # cross term, symmetrized below
-            )
-            for h, (m1, m2, m3) in enumerate(pieces):
-                energy = np.einsum(
-                    "kl,mn,akm,lwnv->awv", m1, m2.conj(), rho_in, ch_t, optimize=True
-                )
-                if m3 is not None:
-                    energy = energy + np.einsum(
-                        "kl,mn,akm,lwnv->awv", m3, m1.conj(), rho_in, ch_t, optimize=True
-                    )
-                q, nums = _reduce(weights, rot, energy)
-                self.q_coef[h, j] = q
-                for e, lab in enumerate(SET_ORDER):
-                    self.joint_coef[h, j, e] = nums[CORRECTION_KEYS[lab][j]]
+        q_map, joint_map = _oracle_maps(grid)
+        rho = channel_matrix(channel).reshape(16)
+        self.q_coef = (q_map @ rho).real
+        self.joint_coef = (joint_map @ rho).real
 
     @staticmethod
     def _harmonics(phi):
@@ -325,27 +284,12 @@ class HarmonicAverages:
         h = self._harmonics(phi)
         return np.einsum("...h,hje->...je", h, self.joint_coef)
 
-    def det_values(self, phi):
-        """Deterministic efficiency per set; shape phi.shape + (4,)."""
-        return self.joint(phi).sum(axis=-2)
-
     def pair_probability(self, phi, pair=(1, 4)):
         q = self.qbar(phi)
         return q[..., pair[0] - 1] + q[..., pair[1] - 1]
 
-    def pair_cond(self, phi, pair=(1, 4)):
-        """Postselected efficiency of an outcome pair, per set.
-
-        Undefined angles (vanishing pair probability) come back NaN.
-        """
-        jn = self.joint(phi)
-        num = jn[..., pair[0] - 1, :] + jn[..., pair[1] - 1, :]
-        den = self.pair_probability(phi, pair)[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den >= UNDEFINED_QBAR, num / den, np.nan)
-
     def at(self, phi: float) -> AveragedQuantities:
-        """Package the averages at one angle like :func:`average_all`."""
+        """All averages at one angle, as :func:`average_all` returns them."""
         qbar = self.qbar(float(phi))
         joint = self.joint(float(phi))
         defined = qbar >= UNDEFINED_QBAR

@@ -83,6 +83,20 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
+def channel_matrix(channel) -> np.ndarray:
+    """The 4x4 matrix of a two-qubit channel state.
+
+    A ``DensityMatrix`` passes through as it is; any other input is
+    validated as one first, so a non-Hermitian, non-unit-trace or
+    non-PSD array raises ``ValueError``.
+    """
+    if not isinstance(channel, DensityMatrix):
+        channel = DensityMatrix(channel)
+    if channel.dim != 4:
+        raise ValueError("channel must be a 4x4 density matrix")
+    return channel.mat
+
+
 @dataclass(frozen=True)
 class PureQubit:
     """Pure input qubit sqrt(a2)|0> + sqrt(1-a2) e^{i gamma}|1>.

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .densmat import DensityMatrix, PureQubit, partial_trace_first_two
+from .densmat import DensityMatrix, PureQubit, channel_matrix, partial_trace_first_two
 from .spin_models import IDENTITY2, PAULI_X, PAULI_Z
 
 # an outcome whose probability falls below this is reported as unreachable
@@ -133,10 +133,7 @@ def run_outcome(
     """
     if j not in (1, 2, 3, 4):
         raise ValueError(f"outcome j must be in 1..4, got {j}")
-    ch = channel.mat if isinstance(channel, DensityMatrix) else np.asarray(channel, dtype=complex)
-    if ch.shape != (4, 4):
-        raise ValueError("channel must be a 4x4 density matrix")
-    rho = np.kron(input_qubit.density(), ch)
+    rho = np.kron(input_qubit.density(), channel_matrix(channel))
     proj = np.kron(basis.projectors[j - 1], IDENTITY2)
     projected = proj @ rho @ proj
     prob = float(np.trace(projected).real)

@@ -105,27 +105,41 @@ class TestAverageAll:
         assert av.defined[1]  # |B2(pi/2)> = |00> always fires
 
     def test_matches_literal_protocol_loop(self):
-        # anchor the vectorized oracle to run_outcome on a small grid
+        # anchor the oracle to run_outcome on a small grid, for every set
+        # and outcome, on a real thermal channel and a complex one
         rng = np.random.default_rng(4)
-        channel = random_thermal(rng)
-        phi = 0.9
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        full_rank = a @ a.conj().T
+        channels = (random_thermal(rng), DensityMatrix(full_rank / np.trace(full_rank)))
         grid = QuadratureGrid(8, 8)
-        av = average_all(channel, phi, grid)
-        basis = bell_basis(phi)
         a2, wa = grid.alpha_nodes()
         gs, wg = grid.gamma_nodes()
-        for label in (CorrectionLabel.PHI_PLUS, CorrectionLabel.PSI_MINUS):
-            cs = correction_set(label)
-            e = SET_ORDER.index(label)
-            for j in (1, 2):
-                num = den = 0.0
-                for x, w in zip(a2, wa):
-                    for g in gs:
-                        out = run_outcome(PureQubit(float(x), float(g)), channel, basis, cs, j)
-                        num += w * wg[0] * out.probability * out.fidelity
-                        den += w * wg[0] * out.probability
-                assert abs(den - av.qbar[j - 1]) < 1e-13
-                assert abs(num / den - av.fbar_cond[j - 1, e]) < 1e-12
+        sets = [correction_set(label) for label in SET_ORDER]
+        for channel in channels:
+            h = HarmonicAverages(channel, grid)
+            for phi in (0.0, 0.9, 2.0):
+                av = average_all(channel, phi, grid)
+                basis = bell_basis(phi)
+                for j in (1, 2, 3, 4):
+                    den = 0.0
+                    num = np.zeros(4)
+                    for x, w in zip(a2, wa):
+                        for g in gs:
+                            q = PureQubit(float(x), float(g))
+                            for e, cs in enumerate(sets):
+                                out = run_outcome(q, channel, basis, cs, j)
+                                num[e] += w * wg[0] * out.probability * out.fidelity
+                            # the outcome probability is the same for every set
+                            den += w * wg[0] * out.probability
+                    assert abs(den - av.qbar[j - 1]) < 1e-13
+                    assert np.max(np.abs(num - h.joint(phi)[j - 1])) < 1e-13
+
+    def test_rejects_invalid_channel(self):
+        for bad in (2 * np.eye(4), np.triu(np.ones((4, 4))) / 4, np.eye(2) / 2):
+            with pytest.raises(ValueError):
+                average_all(bad, 0.3)
+            with pytest.raises(ValueError):
+                HarmonicAverages(bad, QuadratureGrid(8, 8))
 
 
 class TestMonteCarlo:
@@ -168,12 +182,14 @@ class TestMonteCarlo:
 
 class TestHarmonicAverages:
     def test_matches_average_all(self):
+        # average_all reads the same tables, so compare across grids: the
+        # smallest exact grid's map against the default grid's
         rng = np.random.default_rng(6)
         for _ in range(10):
             channel = random_thermal(rng)
             h = HarmonicAverages(channel)
             for phi in rng.uniform(0, math.pi, 4):
-                a = average_all(channel, float(phi))
+                a = average_all(channel, float(phi), QuadratureGrid(8, 8))
                 b = h.at(float(phi))
                 assert np.max(np.abs(a.qbar - b.qbar)) < 1e-13
                 assert np.max(np.abs(a.fbar_det - b.fbar_det)) < 1e-13
@@ -185,11 +201,11 @@ class TestHarmonicAverages:
         phis = np.linspace(0, math.pi, 11)
         q = h.qbar(phis)
         assert q.shape == (11, 4)
-        det = h.det_values(phis)
-        assert det.shape == (11, 4)
+        joint = h.joint(phis)
+        assert joint.shape == (11, 4, 4)
         for i, phi in enumerate(phis):
             assert np.allclose(q[i], h.qbar(float(phi)), atol=1e-15)
-            assert np.allclose(det[i], h.det_values(float(phi)), atol=1e-15)
+            assert np.allclose(joint[i], h.joint(float(phi)), atol=1e-15)
 
     def test_pair_quantities(self):
         rng = np.random.default_rng(8)
@@ -198,7 +214,8 @@ class TestHarmonicAverages:
         phi = 0.77
         av = h.at(phi)
         assert abs(h.pair_probability(phi, (1, 4)) - (av.qbar[0] + av.qbar[3])) < 1e-14
-        pair = h.pair_cond(phi, (1, 4))
+        joint = h.joint(phi)
+        pair = (joint[0] + joint[3]) / h.pair_probability(phi, (1, 4))
         # with F1 = F4 the pair-conditional equals the per-outcome value
         assert np.max(np.abs(pair - av.fbar_cond[0])) < 1e-10
 

@@ -189,3 +189,10 @@ class TestRunOutcome:
                 correction_set(CorrectionLabel.PHI_PLUS),
                 5,
             )
+
+    def test_rejects_invalid_channel(self):
+        q, basis = PureQubit(0.5, 0.0), bell_basis(0.5)
+        cs = correction_set(CorrectionLabel.PHI_PLUS)
+        for bad in (2 * np.eye(4), np.triu(np.ones((4, 4))) / 4, np.eye(2) / 2):
+            with pytest.raises(ValueError):
+                run_outcome(q, bad, basis, cs, 1)

@@ -10,7 +10,9 @@ from thermotele.sweeps import validate
 
 def test_injected_fault_detected(monkeypatch):
     # perturbing a closed-form evaluation by 1e-3 must break the
-    # oracle agreement check
+    # oracle agreement check, and the check must report that error; the
+    # mapping is resolved first, so the fault reaches only the check
+    closed_form.default_reconciliation()
     original = closed_form.q_rate
 
     def skewed(inp, phi):
@@ -19,7 +21,7 @@ def test_injected_fault_detected(monkeypatch):
     monkeypatch.setattr(closed_form, "q_rate", skewed)
     result = checks.check_oracle_closed_agreement(seed=1, cases=20)
     assert not result.passed
-    assert result.max_error >= 1e-3
+    assert abs(result.max_error - 1e-3) <= 1e-12
 
 
 def test_checks_are_seed_stable():
