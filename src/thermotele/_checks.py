@@ -3,11 +3,14 @@
 Each check returns a ``CheckResult`` and pins its tolerances inline; the
 same functions back both ``sweeps.validate`` and the acceptance test
 module, so the criteria run identically from the CLI and from pytest.
+A check whose error is held against one tolerance reports it as ``bound``,
+and ``run_all`` records each check's wall time.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,14 +106,26 @@ class CheckResult:
     passed: bool
     max_error: float
     details: dict = field(default_factory=dict)
+    bound: float | None = None  # the one tolerance max_error is held to
+    wall_s: float | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "passed": bool(self.passed),
             "max_error": float(self.max_error),
             "details": {k: _jsonable(v) for k, v in self.details.items()},
+            "wall_s": self.wall_s,
         }
+        if self.bound is not None:
+            out["bound"] = self.bound
+            out["margin"] = self.bound - float(self.max_error)
+        return out
+
+    @classmethod
+    def within(cls, name: str, max_error: float, bound: float, details=None):
+        """A check that passes when ``max_error`` is at most ``bound``."""
+        return cls(name, max_error <= bound, max_error, details or {}, bound)
 
 
 def _jsonable(v):
@@ -143,11 +158,11 @@ def check_oracle_closed_agreement(seed: int, cases: int = 200) -> CheckResult:
         beta = float(rng.uniform(0.02, 20.0))
         phi = float(rng.uniform(0.0, math.pi))
         oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi)
-        worst = max(worst, _case_errors(p, beta, phi, oracle, mapping))
-    return CheckResult(
+        worst = max(worst, _case_errors(p, beta, phi, oracle, (mapping,))[0])
+    return CheckResult.within(
         "oracle_closed_form_agreement",
-        worst <= 1e-8,
         worst,
+        1e-8,
         {"cases": cases, "mapping": mapping.name},
     )
 
@@ -164,7 +179,7 @@ def check_no_field_collapse(seed: int, cases: int = 50) -> CheckResult:
         det = reconciled_det_optimal(p, beta, mapping)
         prob = reconciled_prob_optimal(p, beta, mapping)
         worst = max(worst, abs(det.best_value - prob.best_value))
-    return CheckResult("no_field_collapse", worst <= 1e-10, worst, {"cases": cases})
+    return CheckResult.within("no_field_collapse", worst, 1e-10, {"cases": cases})
 
 
 def check_classical_bound(seed: int, samples: int = 10_000) -> CheckResult:
@@ -218,7 +233,7 @@ def check_ideal_channel_limits(seed: int) -> CheckResult:
                     worst = max(worst, abs(out.fidelity - 0.5))
                     if abs(phi - math.pi / 4) < 1e-15:
                         worst = max(worst, abs(out.probability - 0.25))
-    return CheckResult("ideal_channel_limits", worst <= 1e-12, worst, {})
+    return CheckResult.within("ideal_channel_limits", worst, 1e-12)
 
 
 _INF_T_MODELS = (
@@ -244,7 +259,7 @@ def check_infinite_temperature(seed: int = 0) -> CheckResult:
                 abs(point["det_value"] - 0.5),
                 abs(point["prob_value"] - 0.5),
             )
-    return CheckResult("infinite_temperature_limit", worst <= 1e-5, worst, {})
+    return CheckResult.within("infinite_temperature_limit", worst, 1e-5)
 
 
 def check_figure2_quantitative(seed: int = 0) -> CheckResult:
@@ -363,7 +378,7 @@ def check_symmetries(seed: int, cases: int = 100) -> CheckResult:
                 worst = max(worst, abs(av.fbar_cond[0, e] - av.fbar_cond[3, e]))
             if av.defined[1] and av.defined[2]:
                 worst = max(worst, abs(av.fbar_cond[1, e] - av.fbar_cond[2, e]))
-    return CheckResult("symmetry_suites", worst <= 1e-10, worst, {"cases": cases})
+    return CheckResult.within("symmetry_suites", worst, 1e-10, {"cases": cases})
 
 
 def check_deterministic_phi_rule(seed: int, cases: int = 200) -> CheckResult:
@@ -380,9 +395,7 @@ def check_deterministic_phi_rule(seed: int, cases: int = 200) -> CheckResult:
                 lambda x, b=branch: f_branch(inp, b, x), 0.0, math.pi, n=4096
             )
             worst = max(worst, val - ref)
-    return CheckResult(
-        "deterministic_phi_rule", worst <= 1e-10, worst, {"cases": cases}
-    )
+    return CheckResult.within("deterministic_phi_rule", worst, 1e-10, {"cases": cases})
 
 
 def check_reconciliation(seed: int = 0) -> CheckResult:
@@ -396,7 +409,8 @@ def check_reconciliation(seed: int = 0) -> CheckResult:
         if report.resolved
         else False
     )
-    passed = report.resolved and report.max_abs_error <= 1e-8 and discriminates
+    bound = 1e-8
+    passed = report.resolved and report.max_abs_error <= bound and discriminates
     return CheckResult(
         "reconciliation_resolution",
         passed,
@@ -406,20 +420,29 @@ def check_reconciliation(seed: int = 0) -> CheckResult:
             "candidate_errors": report.candidate_errors,
             "singlet_ground_case": singlet,
         },
+        bound,
     )
 
 
 def run_all(seed: int = 20260810, cases: int = 200):
-    """Run criteria 1..10 in order with per-check derived seeds."""
-    return [
-        check_oracle_closed_agreement(seed + 1, cases),
-        check_no_field_collapse(seed + 2),
-        check_classical_bound(seed + 3),
-        check_ideal_channel_limits(seed + 4),
-        check_infinite_temperature(seed + 5),
-        check_figure2_quantitative(seed + 6),
-        check_figure_qualitative(seed + 7),
-        check_symmetries(seed + 8),
-        check_deterministic_phi_rule(seed + 9),
-        check_reconciliation(seed + 10),
-    ]
+    """Run criteria 1..10 in order with per-check derived seeds, each
+    result carrying its wall time."""
+    checks = (
+        lambda: check_oracle_closed_agreement(seed + 1, cases),
+        lambda: check_no_field_collapse(seed + 2),
+        lambda: check_classical_bound(seed + 3),
+        lambda: check_ideal_channel_limits(seed + 4),
+        lambda: check_infinite_temperature(seed + 5),
+        lambda: check_figure2_quantitative(seed + 6),
+        lambda: check_figure_qualitative(seed + 7),
+        lambda: check_symmetries(seed + 8),
+        lambda: check_deterministic_phi_rule(seed + 9),
+        lambda: check_reconciliation(seed + 10),
+    )
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        result.wall_s = time.perf_counter() - start
+        results.append(result)
+    return results

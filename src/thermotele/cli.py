@@ -183,8 +183,16 @@ def _cmd_validate(args) -> int:
     status, report = validate(seed=args.seed, cases=args.cases, report_path=args.out)
     for check in report["checks"]:
         mark = "PASS" if check["passed"] else "FAIL"
-        print(f"{mark}  {check['name']}  (max_error={check['max_error']:.3e})")
-    print(f"reconciliation: {report['reconciliation']['mapping']}")
+        margin = f", margin={check['margin']:.3e}" if "margin" in check else ""
+        print(
+            f"{mark}  {check['name']}  (max_error={check['max_error']:.3e}"
+            f"{margin}, {check['wall_s']:.2f} s)"
+        )
+    rec = report["reconciliation"]
+    print(
+        f"reconciliation: {rec['mapping']} "
+        f"({'cached' if rec['cached'] else 'computed'}, {rec['wall_s']:.2f} s)"
+    )
     if args.out:
         print(f"report written to {args.out}")
     return status

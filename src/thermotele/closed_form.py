@@ -362,29 +362,6 @@ _SET_BRANCH_SIGN = {
 }
 
 
-def predicted_qbar(p: HeisenbergParams, beta, phi, mapping: ConventionMapping):
-    """Success rates (Q1..Q4) the printed q implies under ``mapping``."""
-    inp = mapping.inputs(p, beta)
-    q14 = float(q_rate(inp, phi))
-    q23 = float(q_rate(inp, math.pi / 2.0 - phi))
-    return np.array([q14, q23, q23, q14])
-
-
-def predicted_det(p, beta, phi, mapping, label: CorrectionLabel) -> float:
-    """Deterministic efficiency for one correction set under ``mapping``."""
-    inp = mapping.inputs(p, beta)
-    physical, sign = _SET_BRANCH_SIGN[CorrectionLabel(label)]
-    return float(f_branch(inp, mapping.formula_branch(physical), sign * phi))
-
-def predicted_cond(p, beta, phi, mapping, label: CorrectionLabel, j: int) -> float:
-    """Postselected efficiency for outcome ``j`` and one correction set."""
-    inp = mapping.inputs(p, beta)
-    physical, sign = _SET_BRANCH_SIGN[CorrectionLabel(label)]
-    branch = mapping.formula_branch(physical)
-    angle = sign * phi if j in (1, 4) else math.pi / 2.0 - sign * phi
-    return float(g_branch(inp, branch, angle))
-
-
 # the one analytic limit that cleanly separates the candidates: an
 # isotropic no-field channel whose ground state is the singlet; the
 # protocol reaches fidelity 1 there while the printed psi-branch gives 5/9
@@ -431,33 +408,50 @@ class ReconciliationReport:
             fh.write("\n")
 
 
-def _case_errors(p, beta, phi, oracle, mapping):
-    """Worst |printed - oracle| over q, f, and g entries for one case."""
-    worst = 0.0
-    q_pred = predicted_qbar(p, beta, phi, mapping)
-    worst = max(worst, float(np.max(np.abs(q_pred - oracle.qbar))))
-    for e, label in enumerate(
-        (CorrectionLabel.PHI_PLUS, CorrectionLabel.PHI_MINUS,
-         CorrectionLabel.PSI_PLUS, CorrectionLabel.PSI_MINUS)
-    ):
+def _case_errors(p, beta, phi, oracle, mappings):
+    """Worst |printed - oracle| over q, f and g entries of one case, one
+    value per mapping in ``mappings``.
+
+    The mappings differ only by the sign of jz and by which printed branch
+    describes which physical family, so each printed quantity is evaluated
+    once per (jz sign, printed branch) on every angle the case needs, and
+    each mapping reads its predictions from those arrays.  A family's two
+    sets are its + and - angle signs (``_SET_BRANCH_SIGN``), so stacking
+    the families in ``Branch`` order gives the oracle's set columns.
+    """
+    # conditional averages are compared only where the outcome probability
+    # is large enough for double precision to resolve them to the
+    # reconciliation tolerance; skipped outcomes are never evaluated
+    kept = [j for j in range(1, 5) if oracle.qbar[j - 1] >= 0.5 * MIN_PAIR_PROBABILITY]
+    oracle_cond = oracle.fbar_cond[[j - 1 for j in kept]]
+    det_angles = [phi, -phi]
+    cond_angles = [
+        a if j in (1, 4) else math.pi / 2.0 - a for a in det_angles for j in kept
+    ]
+    derived = p.derived()
+    q_pred, det_pred, cond_pred = {}, {}, {}
+    for flip in {m.flip_jz for m in mappings}:
+        inp = ClosedFormInputs(derived=derived, jz=-p.jz if flip else p.jz, beta=beta)
+        q14, q23 = q_rate(inp, [phi, math.pi / 2.0 - phi])
+        q_pred[flip] = np.array([q14, q23, q23, q14])
+        for branch in Branch:
+            det_pred[flip, branch] = f_branch(inp, branch, det_angles)
+            if kept:
+                cond_pred[flip, branch] = g_branch(inp, branch, cond_angles).reshape(2, -1)
+
+    errors = []
+    for m in mappings:
+        printed = [(m.flip_jz, m.formula_branch(family)) for family in Branch]
+        det = np.concatenate([det_pred[k] for k in printed])
         worst = max(
-            worst,
-            abs(predicted_det(p, beta, phi, mapping, label) - oracle.fbar_det[e]),
+            float(np.max(np.abs(q_pred[m.flip_jz] - oracle.qbar))),
+            float(np.max(np.abs(det - oracle.fbar_det))),
         )
-        for j in range(1, 5):
-            # conditional averages are compared only where the outcome
-            # probability is large enough for double precision to resolve
-            # them to the reconciliation tolerance
-            if oracle.qbar[j - 1] < 0.5 * MIN_PAIR_PROBABILITY:
-                continue
-            worst = max(
-                worst,
-                abs(
-                    predicted_cond(p, beta, phi, mapping, label, j)
-                    - oracle.fbar_cond[j - 1, e]
-                ),
-            )
-    return worst
+        if kept:
+            cond = np.vstack([cond_pred[k] for k in printed]).T
+            worst = max(worst, float(np.max(np.abs(cond - oracle_cond))))
+        errors.append(worst)
+    return errors
 
 
 def reconcile_conventions(
@@ -474,6 +468,13 @@ def reconcile_conventions(
     whose worst error stays below ``RESOLUTION_TOL``.  If none or several
     survive, the report comes back unresolved and callers must fall back
     to oracle-computed quantities.
+
+    Each case runs the oracle once and scores all four candidates in one
+    pass (``_case_errors``): per sign of jz, one ``q_rate`` call on
+    (phi, pi/2 - phi) and, per printed branch, one ``f_branch`` call on
+    (phi, -phi) and one ``g_branch`` call on the angles of the outcomes
+    the skip rule keeps; each candidate then reads the predictions of its
+    own jz sign and branch assignment.
     """
     if case_count < 100:
         raise ValueError("reconciliation needs at least 100 cases")
@@ -488,8 +489,9 @@ def reconcile_conventions(
     errors = {m.name: 0.0 for m in CANDIDATE_MAPPINGS}
     for p, beta, phi in cases:
         oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi, grid)
-        for m in CANDIDATE_MAPPINGS:
-            errors[m.name] = max(errors[m.name], _case_errors(p, beta, phi, oracle, m))
+        case = _case_errors(p, beta, phi, oracle, CANDIDATE_MAPPINGS)
+        for m, err in zip(CANDIDATE_MAPPINGS, case):
+            errors[m.name] = max(errors[m.name], err)
 
     winners = [m for m in CANDIDATE_MAPPINGS if errors[m.name] <= RESOLUTION_TOL]
     mapping = winners[0] if len(winners) == 1 else None
@@ -503,8 +505,9 @@ def reconcile_conventions(
         "oracle_det_psi_minus": float(
             oracle.fbar_det[3]
         ),
+        # psi- is the psi family at angle -phi
         "predicted_det_psi_minus": {
-            m.name: predicted_det(p, beta, phi, m, CorrectionLabel.PSI_MINUS)
+            m.name: float(f_branch(m.inputs(p, beta), m.formula_branch(Branch.PSI), -phi))
             for m in CANDIDATE_MAPPINGS
         },
     }

@@ -162,9 +162,12 @@ def _sym2_eigenpairs(a: float, b: float, c: float):
     lam_plus, lam_minus = mean + r, mean - r
     if r <= 1e-300:
         return (lam_plus, np.array([1.0, 0.0])), (lam_minus, np.array([0.0, 1.0]))
-    # two algebraically equivalent constructions; pick the better conditioned
-    u1 = np.array([c, lam_plus - a])
-    u2 = np.array([lam_plus - b, c])
+    # two algebraically equivalent constructions; pick the better conditioned.
+    # Both are scaled by the power of two nearest 1/r, which changes no bit
+    # of the result but keeps their norms from underflowing for tiny blocks
+    scale = math.ldexp(1.0, -math.frexp(r)[1])
+    u1 = np.array([c, lam_plus - a]) * scale
+    u2 = np.array([lam_plus - b, c]) * scale
     u = u1 if np.linalg.norm(u1) >= np.linalg.norm(u2) else u2
     u = u / np.linalg.norm(u)
     return (lam_plus, u), (lam_minus, np.array([-u[1], u[0]]))

@@ -11,17 +11,20 @@ writes a JSON report.
 from __future__ import annotations
 
 import json
+import math
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import _version
+from . import _version, closed_form
 from ._optimize import maximize_ratio
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
     SUCCESS_TIE_TOL,
+    _SET_BRANCH_SIGN,
     Branch,
     ConventionMapping,
     default_mapping,
@@ -192,23 +195,28 @@ def _oracle_prob(harmonics: HarmonicAverages):
     return best
 
 
-def _branch_of(label: CorrectionLabel) -> Branch:
-    return Branch.PHI if label in (
-        CorrectionLabel.PHI_PLUS, CorrectionLabel.PHI_MINUS
-    ) else Branch.PSI
+def _branch_angle(label: CorrectionLabel, phi: float):
+    """Set ``label`` at angle ``phi`` as its family and the angle in that
+    family's parametrization, the one the closed engine reports: the + set
+    at phi is the family at phi, the - set at phi the family at -phi."""
+    branch, sign = _SET_BRANCH_SIGN[label]
+    angle = (sign * phi) % math.pi
+    return branch, 0.0 if angle == math.pi else angle
 
 
 def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
     dv, dphi, dlabel = _oracle_det(harmonics)
     pv, pphi, plabel, pair, rate = _oracle_prob(harmonics)
+    dbranch, dphi = _branch_angle(dlabel, dphi)
+    pbranch, pphi = _branch_angle(plabel, pphi)
     return {
         "det_value": dv,
         "det_phi": dphi,
-        "det_set": _SET_FOR_BRANCH[_branch_of(dlabel)],
+        "det_set": _SET_FOR_BRANCH[dbranch],
         "prob_value": pv,
         "prob_phi": pphi,
-        "prob_set": _SET_FOR_BRANCH[_branch_of(plabel)],
+        "prob_set": _SET_FOR_BRANCH[pbranch],
         "prob_pair": f"{pair[0]}+{pair[1]}",
         "success_rate": rate,
     }
@@ -558,18 +566,24 @@ def validate(seed: int = 20260810, cases: int = 200, report_path=None):
 
     Returns (exit_status, report_dict); nonzero status on any failure.
     Writes the JSON report (including the reconciliation section) when
-    ``report_path`` is given.
+    ``report_path`` is given.  The reconciliation section records its wall
+    time and whether this process had already computed it (``cached``).
     """
     from . import _checks
 
-    results = _checks.run_all(seed=seed, cases=cases)
+    cached = closed_form._DEFAULT_REPORT is not None
+    start = time.perf_counter()
     reconciliation = default_reconciliation()
+    reconciliation_s = time.perf_counter() - start
+    results = _checks.run_all(seed=seed, cases=cases)
     report = {
         "report_version": 1,
         "tool_version": _version.__version__,
         "seed": seed,
         "cases": cases,
-        "reconciliation": reconciliation.to_dict(),
+        "reconciliation": {
+            **reconciliation.to_dict(), "wall_s": reconciliation_s, "cached": cached,
+        },
         "checks": [r.to_dict() for r in results],
         "passed": all(r.passed for r in results),
     }

@@ -142,3 +142,29 @@ def test_report_written_and_status_reflects_known_red(battery):
     failing = {c["name"] for c in report["checks"] if not c["passed"]}
     assert failing == KNOWN_RED
     assert status == 1  # honest: the known-red criterion fails validate
+
+
+# criteria whose max_error is held against one tolerance, and that tolerance
+BOUNDS = {
+    "oracle_closed_form_agreement": 1e-8,
+    "no_field_collapse": 1e-10,
+    "ideal_channel_limits": 1e-12,
+    "infinite_temperature_limit": 1e-5,
+    "symmetry_suites": 1e-10,
+    "deterministic_phi_rule": 1e-10,
+    "reconciliation_resolution": 1e-8,
+}
+
+
+def test_report_shows_time_and_margin(battery):
+    _, report, _ = battery
+    for check in report["checks"]:
+        assert check["wall_s"] >= 0.0
+        bound = BOUNDS.get(check["name"])
+        assert check.get("bound") == bound
+        if bound is not None:
+            assert check["margin"] == bound - check["max_error"]
+            assert (check["margin"] >= 0.0) == check["passed"]
+    reconciliation = report["reconciliation"]
+    assert reconciliation["wall_s"] >= 0.0
+    assert isinstance(reconciliation["cached"], bool)

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from thermotele.averaging import average_all
+from thermotele.averaging import QuadratureGrid, average_all
 from thermotele.closed_form import (
+    _SET_BRANCH_SIGN,
     CANDIDATE_MAPPINGS,
+    MIN_PAIR_PROBABILITY,
     Branch,
     ClosedFormInputs,
     ConventionMapping,
@@ -21,6 +25,7 @@ from thermotele.closed_form import (
     reconciled_det_optimal,
     reconciled_prob_optimal,
 )
+from thermotele.densmat import DensityMatrix
 from thermotele.spin_models import (
     HeisenbergParams,
     XXZFieldParams,
@@ -305,10 +310,10 @@ class TestReconciliation:
         # all four candidates coincide when jz-odd and branch-asymmetric
         # content is absent from the comparison set
         oracle = average_all(thermal_state(XXX_NO_FIELD, 10.0).rho, 0.6)
-        errs = {
-            m.name: _case_errors(XXX_NO_FIELD, 0.1, 0.6, oracle, m)
-            for m in CANDIDATE_MAPPINGS
-        }
+        errs = dict(zip(
+            (m.name for m in CANDIDATE_MAPPINGS),
+            _case_errors(XXX_NO_FIELD, 0.1, 0.6, oracle, CANDIDATE_MAPPINGS),
+        ))
         # identity fails even here (branch labels differ), but flip-only
         # and flip+swap agree with their swap counterparts at jz ~ 0 cases
         p_no_jz = HeisenbergParams(1.0, -0.5, 0.0, 0.0, 0.0)
@@ -316,7 +321,7 @@ class TestReconciliation:
         for m in CANDIDATE_MAPPINGS:
             if not m.swap_branches:
                 continue
-            assert _case_errors(p_no_jz, 2.0, 0.6, oracle2, m) < 1e-10
+            assert _case_errors(p_no_jz, 2.0, 0.6, oracle2, (m,))[0] < 1e-10
 
     def test_report_json_roundtrip(self, tmp_path):
         report = reconcile_conventions(case_count=100, seed=7)
@@ -358,3 +363,157 @@ class TestReconciledLayer:
     def test_inputs_invariants(self):
         with pytest.raises(ValueError):
             ClosedFormInputs.from_heisenberg(XXX_NO_FIELD, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# _case_errors against the per-quantity loop it replaced, kept verbatim as a
+# reference: one closed-form call per printed quantity, mapping and case
+
+
+def predicted_qbar(p: HeisenbergParams, beta, phi, mapping: ConventionMapping):
+    """Success rates (Q1..Q4) the printed q implies under ``mapping``."""
+    inp = mapping.inputs(p, beta)
+    q14 = float(q_rate(inp, phi))
+    q23 = float(q_rate(inp, math.pi / 2.0 - phi))
+    return np.array([q14, q23, q23, q14])
+
+
+def predicted_det(p, beta, phi, mapping, label: CorrectionLabel) -> float:
+    """Deterministic efficiency for one correction set under ``mapping``."""
+    inp = mapping.inputs(p, beta)
+    physical, sign = _SET_BRANCH_SIGN[CorrectionLabel(label)]
+    return float(f_branch(inp, mapping.formula_branch(physical), sign * phi))
+
+def predicted_cond(p, beta, phi, mapping, label: CorrectionLabel, j: int) -> float:
+    """Postselected efficiency for outcome ``j`` and one correction set."""
+    inp = mapping.inputs(p, beta)
+    physical, sign = _SET_BRANCH_SIGN[CorrectionLabel(label)]
+    branch = mapping.formula_branch(physical)
+    angle = sign * phi if j in (1, 4) else math.pi / 2.0 - sign * phi
+    return float(g_branch(inp, branch, angle))
+
+
+def reference_case_errors(p, beta, phi, oracle, mapping):
+    """Worst |printed - oracle| over q, f, and g entries for one case."""
+    worst = 0.0
+    q_pred = predicted_qbar(p, beta, phi, mapping)
+    worst = max(worst, float(np.max(np.abs(q_pred - oracle.qbar))))
+    for e, label in enumerate(
+        (CorrectionLabel.PHI_PLUS, CorrectionLabel.PHI_MINUS,
+         CorrectionLabel.PSI_PLUS, CorrectionLabel.PSI_MINUS)
+    ):
+        worst = max(
+            worst,
+            abs(predicted_det(p, beta, phi, mapping, label) - oracle.fbar_det[e]),
+        )
+        for j in range(1, 5):
+            # conditional averages are compared only where the outcome
+            # probability is large enough for double precision to resolve
+            # them to the reconciliation tolerance
+            if oracle.qbar[j - 1] < 0.5 * MIN_PAIR_PROBABILITY:
+                continue
+            worst = max(
+                worst,
+                abs(
+                    predicted_cond(p, beta, phi, mapping, label, j)
+                    - oracle.fbar_cond[j - 1, e]
+                ),
+            )
+    return worst
+
+
+class TestCaseErrors:
+    def test_equals_per_quantity_reference(self):
+        # reconciliation-style cases, plus strong fields with weak xy
+        # couplings at low temperature (a third at phi = 0, a third at
+        # pi/2), where outcome probabilities fall below the skip threshold
+        # and those conditional averages are left out
+        rng = np.random.default_rng(20260811)
+        grid = QuadratureGrid(8, 8)
+        skipping = 0
+        for k in range(240):
+            vals = rng.uniform(-3.0, 3.0, 5)
+            beta = float(rng.uniform(0.05, 20.0))
+            phi = float(rng.uniform(0.0, math.pi))
+            if k % 2:
+                vals[:2] *= 0.01
+                vals[3:] = rng.uniform(4.0, 30.0, 2) * rng.choice([-1.0, 1.0], 2)
+                beta = float(rng.uniform(5.0, 20.0))
+                phi = (0.0, math.pi / 2.0, phi)[k % 3]
+            p = HeisenbergParams(*vals)
+            oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi, grid)
+            skipping += bool(np.any(oracle.qbar < 0.5 * MIN_PAIR_PROBABILITY))
+            errors = _case_errors(p, beta, phi, oracle, CANDIDATE_MAPPINGS)
+            for m, err in zip(CANDIDATE_MAPPINGS, errors):
+                assert err == reference_case_errors(p, beta, phi, oracle, m)
+        assert skipping >= 25
+
+    def test_mapping_subsets(self):
+        p = HeisenbergParams(1.0, -0.5, 0.3, 0.8, -0.2)
+        oracle = average_all(thermal_state(p, 0.7).rho, 1.1)
+        every = _case_errors(p, 1 / 0.7, 1.1, oracle, CANDIDATE_MAPPINGS)
+        for m, err in zip(CANDIDATE_MAPPINGS, every):
+            assert _case_errors(p, 1 / 0.7, 1.1, oracle, (m,)) == [err]
+
+
+# ---------------------------------------------------------------------------
+# properties over the extended domain: beta log-uniform in [1e-6, 1e12],
+# couplings and fields up to 1e3, and sector gaps (eta or chi) near zero
+
+_COUPLING = st.floats(-1e3, 1e3)
+_NEAR_ZERO = st.floats(-1e-6, 1e-6)
+
+
+@st.composite
+def extended_cases(draw):
+    jx, jz, ha = draw(_COUPLING), draw(_COUPLING), draw(_COUPLING)
+    gap = draw(st.sampled_from(("free", "eta", "chi")))
+    if gap == "free":
+        jy, hb = draw(_COUPLING), draw(_COUPLING)
+    elif gap == "eta":  # eta = hypot(jx - jy, ha + hb)
+        jy, hb = jx + draw(_NEAR_ZERO), -ha + draw(_NEAR_ZERO)
+    else:  # chi = hypot(ha - hb, jx + jy)
+        jy, hb = -jx + draw(_NEAR_ZERO), ha + draw(_NEAR_ZERO)
+    beta = 10.0 ** draw(st.floats(-6.0, 12.0))
+    phi = draw(st.floats(0.0, math.pi))
+    return HeisenbergParams(jx, jy, jz, ha, hb), beta, phi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extended_cases())
+def test_extended_domain_states_rates_and_fidelities(case):
+    p, beta, phi = case
+    state = thermal_state(p, 1.0 / beta)
+    assert isinstance(state.rho, DensityMatrix)
+    DensityMatrix(state.rho.mat)  # Hermitian, unit trace, PSD
+    oracle = average_all(state.rho, phi)
+    assert abs(oracle.qbar.sum() - 1.0) <= 1e-12
+    fidelities = np.concatenate([oracle.fbar_det, oracle.fbar_cond[oracle.defined].ravel()])
+    assert np.all((fidelities >= 0.0) & (fidelities <= 1.0))
+    inp = default_mapping().inputs(p, beta)
+    rates = q_rate(inp, [phi, math.pi / 2 - phi])
+    assert abs(2.0 * float(np.sum(rates)) - 1.0) <= 1e-12
+    printed = np.concatenate([f_branch(inp, b, [phi, -phi]) for b in Branch])
+    assert np.all((printed >= 0.0) & (printed <= 1.0))
+
+
+# Closed forms and oracle do not agree to 1e-10 everywhere on this domain.
+# Each pinned example is one known loss of precision, measured against a
+# 60-digit thermal state: (1) the closed forms' shifted exponents
+# beta (offset - x - shift) lose a sector gap of 1e-10 against 2 |jz| = 720
+# (closed 9e-7 off, oracle 3e-7 off); (2) thermal_state takes the level
+# energies as -jz +/- chi and loses chi = 1e-12 against jz = 50 (oracle
+# 4e-4 off); (3) g_branch takes its denominator as d0 + d1 cos(2 phi), which
+# cancels when the outcome probability is 5e-8 (closed 3e-10 off).
+@pytest.mark.xfail(
+    strict=True, reason="closed forms and oracle lose precision at the domain edges"
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extended_cases())
+@example((HeisenbergParams(0.0, 0.0, -360.0, -1e-10, 0.0), 2e8, 1.0))
+@example((HeisenbergParams(1.0, -1.0 + 1e-12, 50.0, 25.0, 25.0), 1e12, 0.5))
+@example((HeisenbergParams(0.5, 0.25, 0.7, 975.0, 0.25), 1.0, 0.0))
+def test_extended_domain_closed_matches_oracle(case):
+    p, beta, phi = case
+    oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi)
+    assert _case_errors(p, beta, phi, oracle, (default_mapping(),))[0] <= 1e-10

@@ -191,6 +191,13 @@ class TestThermalState:
         ts = thermal_state(HeisenbergParams(2, 2, 2, -4, -4), 1e-3)  # beta = 1000
         assert np.isfinite(ts.rho.mat).all()
 
+    def test_tiny_couplings_do_not_underflow(self):
+        # blocks whose entries square below the smallest double once
+        # normalized their eigenvectors to 0/0
+        for p in (HeisenbergParams(0, 1e-170, 0), HeisenbergParams(0, 0, 0, 0, 1e-200)):
+            rho = thermal_state(p, 1.0).rho.mat
+            assert np.max(np.abs(rho - np.eye(4) / 4)) <= 1e-15
+
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError, match="temperature must be positive"):
             thermal_state(HeisenbergParams(1, 1, 1), 0.0)

@@ -1,9 +1,11 @@
 import json
+import random
 
 import numpy as np
 import pytest
 
-from thermotele.averaging import QuadratureGrid
+from thermotele.averaging import HarmonicAverages, QuadratureGrid
+from thermotele.spin_models import thermal_state
 from thermotele.sweeps import (
     SweepRecord,
     SweepSpec,
@@ -99,6 +101,36 @@ class TestRunSweep:
             "raw", {"jx": 1 + 2.5e-9, "jy": 1 - 2.5e-9, "jz": -2}, 1e-10, engine="both"
         )
         assert r.engine_disagreement <= 1e-8
+
+    def test_oracle_reports_angles_like_the_closed_engine(self):
+        # five seeded sweeps of 12 points; where the mirror sets of a family
+        # tie (phi+ at pi/4, phi- at 3pi/4) roundoff decides which set wins,
+        # so the oracle must report both as the family at one angle
+        rng = random.Random(101)
+        u = rng.uniform
+        specs = [
+            ("ising", {"lam": u(0.3, 1.7)}, "kt", 0.05, 3.0),
+            ("xx", {"lam": u(0.3, 1.7)}, "kt", 0.05, 3.0),
+            ("xy", {"lam": u(0.3, 1.7), "zeta": u(0.1, 0.9)}, "kt", 0.05, 3.0),
+            ("xxx", {"bigj": u(0.5, 2.0), "field": u(2.0, 8.0)}, "kt", 0.05, 10.0),
+            ("xxz", {"bigj": u(0.5, 2.0), "field": u(2.0, 8.0), "kt": u(0.1, 1.0)},
+             "delta", -2.0, 3.0),
+        ]
+        compared = 0
+        for spec in specs:
+            oracle = run_sweep(SweepSpec(*spec, 12, engine="both"))
+            closed = run_sweep(SweepSpec(*spec, 12, engine="closed"))
+            for o, c in zip(oracle, closed):
+                rho = thermal_state(o.params, o.kt).rho
+                det = HarmonicAverages(rho).joint_coef.sum(axis=1)
+                amplitude = 0.5 * np.hypot(det[0] - det[1], det[2])
+                best = np.argmax(0.5 * (det[0] + det[1]) + amplitude)
+                if amplitude[best] <= 1e-9:
+                    continue  # flat maximum: every angle is optimal
+                assert o.det_set == c.det_set
+                assert abs(o.det_phi - c.det_phi) <= 1e-9
+                compared += 1
+        assert compared >= 40
 
     def test_raw_model(self):
         r = evaluate_point(

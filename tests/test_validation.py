@@ -46,6 +46,21 @@ def test_validate_report_plumbing(monkeypatch, tmp_path):
     assert report["reconciliation"]["mapping"] == "flip_jz+swap_phi_psi"
 
 
+def test_validate_reports_cached_reconciliation(monkeypatch):
+    closed_form.default_reconciliation()
+    monkeypatch.setattr(checks, "run_all", lambda seed, cases: [])
+    _, report = validate(seed=3, cases=100)
+    assert report["reconciliation"]["cached"] is True
+    assert 0.0 <= report["reconciliation"]["wall_s"] < 0.1
+
+
+def test_check_result_margin():
+    d = checks.CheckResult("delta", True, 2.5e-9, {}, bound=1e-8, wall_s=0.5).to_dict()
+    assert d["bound"] == 1e-8 and d["margin"] == 1e-8 - 2.5e-9 and d["wall_s"] == 0.5
+    d = checks.CheckResult("epsilon", False, 0.3, {}).to_dict()
+    assert "bound" not in d and "margin" not in d and d["wall_s"] is None
+
+
 def test_validate_all_green_status(monkeypatch):
     canned = [checks.CheckResult("alpha", True, 0.0, {})]
     monkeypatch.setattr(checks, "run_all", lambda seed, cases: canned)
