@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .spin_models import (
     from_xy_field,
     thermal_state,
 )
-from .sweeps import CLASSICAL_LIMIT, _closed_point, _oracle_point
+from .sweeps import CLASSICAL_LIMIT, _closed_points, _oracle_point
 from .teleport import CorrectionLabel, bell_basis, correction_set, run_outcome
 
 # criterion 9's own dense scan plus golden-section, kept independent of the
@@ -152,13 +152,14 @@ def check_oracle_closed_agreement(seed: int, cases: int = 200) -> CheckResult:
     resolved mapping, on random tuples with |j|,|h| <= 3, beta in (0,20]."""
     mapping = default_mapping()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    drawn = []
     for _ in range(cases):
         p = _random_params(rng)
         beta = float(rng.uniform(0.02, 20.0))
         phi = float(rng.uniform(0.0, math.pi))
-        oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi)
-        worst = max(worst, _case_errors(p, beta, phi, oracle, (mapping,))[0])
+        drawn.append((p, beta, phi))
+    oracles = [average_all(thermal_state(p, 1.0 / beta).rho, phi) for p, beta, phi in drawn]
+    worst = float(_case_errors(drawn, oracles, (mapping,)).max())
     return CheckResult.within(
         "oracle_closed_form_agreement",
         worst,
@@ -172,13 +173,13 @@ def check_no_field_collapse(seed: int, cases: int = 50) -> CheckResult:
     deterministic optima coincide to 1e-10."""
     mapping = default_mapping()
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    params, betas = [], []
     for _ in range(cases):
-        p = _random_params(rng, with_field=False)
-        beta = float(rng.uniform(0.02, 20.0))
-        det = reconciled_det_optimal(p, beta, mapping)
-        prob = reconciled_prob_optimal(p, beta, mapping)
-        worst = max(worst, abs(det.best_value - prob.best_value))
+        params.append(_random_params(rng, with_field=False))
+        betas.append(float(rng.uniform(0.02, 20.0)))
+    dets = reconciled_det_optimal(params, np.array(betas), mapping)
+    probs = reconciled_prob_optimal(params, np.array(betas), mapping)
+    worst = max(abs(d.best_value - p.best_value) for d, p in zip(dets, probs))
     return CheckResult.within("no_field_collapse", worst, 1e-10, {"cases": cases})
 
 
@@ -186,20 +187,24 @@ def check_classical_bound(seed: int, samples: int = 10_000) -> CheckResult:
     """Criterion 3: oracle-optimal deterministic fidelity over random
     separable channels stays below 2/3 + 1e-9; the saturating product
     channel reaches 2/3 to 1e-10."""
-    best = verify_classical_bound(samples, seed)
+    grid = QuadratureGrid(16, 16)
+    best = verify_classical_bound(samples, seed, grid)
     pole = BlochVector(0.0, 0.0, 1.0)
     from .classical_limit import oracle_det_optimum
 
-    saturating = oracle_det_optimum(
-        SeparableChannel(((1.0, pole, pole),)).density(), QuadratureGrid(16, 16)
-    )
+    saturating = oracle_det_optimum(SeparableChannel(((1.0, pole, pole),)).density(), grid)
     sat_err = abs(saturating - CLASSICAL_LIMIT)
     passed = best <= CLASSICAL_LIMIT + 1e-9 and sat_err <= 1e-10
     return CheckResult(
         "classical_bound",
         passed,
         max(best - CLASSICAL_LIMIT, sat_err),
-        {"samples": samples, "max_fidelity": best, "saturating": saturating},
+        {
+            "samples": samples,
+            "max_fidelity": best,
+            "saturating": saturating,
+            "grid": asdict(grid),
+        },
     )
 
 
@@ -248,18 +253,20 @@ _INF_T_MODELS = (
 def check_infinite_temperature(seed: int = 0) -> CheckResult:
     """Criterion 5: at kT = 1e6 both protocol efficiencies are 0.5 +/- 1e-5."""
     mapping = default_mapping()
+    params = [p for _, p in _INF_T_MODELS]
+    closed = _closed_points(params, [1e6] * len(params), mapping)
+    grid = QuadratureGrid(16, 16)
+    oracle = [_oracle_point(p, 1e6, grid) for p in params]
     worst = 0.0
-    for _, p in _INF_T_MODELS:
-        for point in (
-            _closed_point(p, 1e6, mapping),
-            _oracle_point(p, 1e6, QuadratureGrid(16, 16)),
-        ):
-            worst = max(
-                worst,
-                abs(point["det_value"] - 0.5),
-                abs(point["prob_value"] - 0.5),
-            )
-    return CheckResult.within("infinite_temperature_limit", worst, 1e-5)
+    for point in closed + oracle:
+        worst = max(
+            worst,
+            abs(point["det_value"] - 0.5),
+            abs(point["prob_value"] - 0.5),
+        )
+    return CheckResult.within(
+        "infinite_temperature_limit", worst, 1e-5, {"grid": asdict(grid)}
+    )
 
 
 def check_figure2_quantitative(seed: int = 0) -> CheckResult:
@@ -276,8 +283,9 @@ def check_figure2_quantitative(seed: int = 0) -> CheckResult:
     the success-rate definition specifies; both rates land in details.
     """
     mapping = default_mapping()
-    p07 = _closed_point(from_xy_field(XYFieldParams(0.7, 1.0)), 0.1, mapping)
-    p13 = _closed_point(from_xy_field(XYFieldParams(1.3, 1.0)), 0.1, mapping)
+    p07, p13 = _closed_points(
+        [from_xy_field(XYFieldParams(lam, 1.0)) for lam in (0.7, 1.3)], [0.1, 0.1], mapping
+    )
     ok_eff = p07["prob_value"] >= 0.99
     ok_07 = 0.07 <= p07["success_rate"] <= 0.13
     ok_13 = 0.25 <= p13["success_rate"] <= 0.35
@@ -318,7 +326,7 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
 
     p_xx = from_xy_field(XYFieldParams(0.7, 0.0))
     kts = np.linspace(0.05, 3.0, 40)
-    points = [_closed_point(p_xx, float(kt), mapping) for kt in kts]
+    points = _closed_points([p_xx] * len(kts), kts, mapping)
     det = np.array([pt["det_value"] for pt in points])
     prob = np.array([pt["prob_value"] for pt in points])
     a_det_classical = bool(np.all(det <= CLASSICAL_LIMIT + 1e-9))
@@ -330,11 +338,11 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
     jc = critical_point("xxx_field", field_h=8.0)
     b_crossing = abs(jc - 1.0) <= 1e-9
     details["xxx_crossing"] = jc
+    kts_xxx = np.linspace(0.05, 10.0, 25)
     b_negative_j = True
     for j in (-0.5, -1.5):
         p = from_xxz_field(XXZFieldParams(j, 1.0, 8.0))
-        for kt in np.linspace(0.05, 10.0, 25):
-            pt = _closed_point(p, float(kt), mapping)
+        for pt in _closed_points([p] * len(kts_xxx), kts_xxx, mapping):
             if (
                 pt["det_value"] > CLASSICAL_LIMIT + 1e-9
                 or pt["prob_value"] > CLASSICAL_LIMIT + 1e-9

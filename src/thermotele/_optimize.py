@@ -56,32 +56,47 @@ def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     (kept as the boundary points they are even where rounding puts them a
     hair outside), and the edges of the tie window N = (top - tie_tol) D.
     """
-    nu, nv, ns = (float(x) for x in num)
-    du, dv, ds = (1.0, 1.0, 0.0) if den is None else (float(x) for x in den)
+    nu, nv, ns = num
+    nu, nv, ns = float(nu), float(nv), float(ns)
+    if den is None:
+        du = dv = 1.0
+        ds = 0.0
+    else:
+        du, dv, ds = den
+        du, dv, ds = float(du), float(dv), float(ds)
     # a constant D is kept exact, so ties keep the candidate order below
     # instead of going to whichever angle rounds cos**2 + sin**2 up
     constant = du == dv and ds == 0.0
-
-    def at(phi, forced=False):
-        c, s = math.cos(phi), math.sin(phi)
-        d = du if constant else du * c * c + dv * s * s + ds * s * c
-        if d < floor and not forced:
-            return None
-        return (nu * c * c + nv * s * s + ns * s * c) / d, phi, d
-
-    interior = [0.0, 0.5 * math.atan2(ds, du - dv)]
-    # (N/D)' = 0, i.e. N' D - N D' = 0, as a quadratic form
-    interior += _roots(
+    cos, sin = math.cos, math.sin
+    # phi = 0, argmax D and (N/D)' = 0, i.e. N' D - N D' = 0 as a quadratic
+    # form, all masked below the floor; then the mask edges, never masked
+    # (an infinite floor has none)
+    angles = [0.0, 0.5 * math.atan2(ds, du - dv)]
+    angles += _roots(
         0.5 * (ns * du - ds * nu), nv * du - nu * dv, 0.5 * (ds * nv - ns * dv)
     )
-    candidates = [at(phi) for phi in interior]
-    candidates += [at(phi, True) for phi in _roots(du - floor, ds, dv - floor)]
-    candidates = [c for c in candidates if c is not None]
+    free = len(angles)
+    if floor != -math.inf:
+        angles += _roots(du - floor, ds, dv - floor)
+    candidates = []  # (N/D, phi, D)
+    for k, phi in enumerate(angles):
+        c, s = cos(phi), sin(phi)
+        d = du if constant else du * c * c + dv * s * s + ds * s * c
+        if k >= free or not d < floor:
+            candidates.append(((nu * c * c + nv * s * s + ns * s * c) / d, phi, d))
     if not candidates:
         raise ValueError("no angle has D above the floor")
-    cut = max(c[0] for c in candidates) - tie_tol
-    candidates += [at(phi) for phi in _roots(nu - cut * du, ns - cut * ds, nv - cut * dv)]
-    window = [c for c in candidates if c is not None and c[0] >= cut]
-    value, phi, d = max(window, key=lambda c: c[2])
+    cut = max([c[0] for c in candidates]) - tie_tol
+    for phi in _roots(nu - cut * du, ns - cut * ds, nv - cut * dv):
+        c, s = cos(phi), sin(phi)
+        d = du if constant else du * c * c + dv * s * s + ds * s * c
+        if not d < floor:
+            candidates.append(((nu * c * c + nv * s * s + ns * s * c) / d, phi, d))
+    # the first candidate with the largest D inside the tie window
+    best = None
+    for cand in candidates:
+        if cand[0] >= cut and (best is None or cand[2] > best[2]):
+            best = cand
+    value, phi, d = best
     phi %= math.pi
     return AngleOptimum(value, 0.0 if phi == math.pi else phi, d)

@@ -75,7 +75,9 @@ class SeparableChannel:
     def density(self) -> DensityMatrix:
         rho = np.zeros((4, 4), dtype=complex)
         for w, a, b in self.terms:
-            rho += w * np.kron(a.density(), b.density())
+            # the Kronecker product a (x) b as a broadcast outer product
+            x, y = a.density(), b.density()
+            rho += w * (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
         return DensityMatrix(rho)
 
 

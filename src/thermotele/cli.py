@@ -93,29 +93,41 @@ def build_parser():
     return parser, commands
 
 
-def _apply_config(args, parser_defaults):
+def _apply_config(args, actions):
     """Fill flag values from the config file wherever the flag kept its
-    parser default (explicit flags therefore win)."""
+    parser default (explicit flags therefore win).  Each value is parsed
+    with its flag's own type and checked against its choices; a bad file
+    raises ValueError."""
     if getattr(args, "config", None) is None:
         return args
+    try:
+        text = args.config.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
     values = {}
-    for raw in args.config.read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"config line not of form key=value: {raw!r}")
+            raise ValueError(f"config line not of form key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_").replace("lambda", "lam")] = value
     for key, value in values.items():
-        if not hasattr(args, key):
-            raise SystemExit(f"unknown config key {key!r}")
-        if getattr(args, key) == parser_defaults.get(key):
-            current = getattr(args, key)
-            caster = type(current) if current is not None else float
-            if isinstance(current, bool):
-                caster = lambda v: v.lower() in ("1", "true", "yes")
-            setattr(args, key, caster(value) if caster is not Path else Path(value))
+        action = actions.get(key)
+        if action is None or not hasattr(args, key):
+            raise ValueError(f"unknown config key {key!r}")
+        if getattr(args, key) != action.default:
+            continue
+        try:
+            parsed = action.type(value) if action.type else value
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and parsed not in action.choices:
+            raise ValueError(
+                f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}"
+            )
+        setattr(args, key, parsed)
     return args
 
 
@@ -188,6 +200,8 @@ def _cmd_validate(args) -> int:
             f"{mark}  {check['name']}  (max_error={check['max_error']:.3e}"
             f"{margin}, {check['wall_s']:.2f} s)"
         )
+    grid = report["grid"]
+    print(f"quadrature grid: {grid['n_alpha']}x{grid['n_gamma']}")
     rec = report["reconciliation"]
     print(
         f"reconciliation: {rec['mapping']} "
@@ -207,10 +221,7 @@ def _cmd_critical(args) -> int:
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
-    defaults = {
-        action.dest: action.default for action in commands[args.command]._actions
-    }
-    args = _apply_config(args, defaults)
+    actions = {action.dest: action for action in commands[args.command]._actions}
     handler = {
         "point": _cmd_point,
         "sweep": _cmd_sweep,
@@ -219,7 +230,7 @@ def main(argv=None) -> int:
         "critical": _cmd_critical,
     }[args.command]
     try:
-        return handler(args)
+        return handler(_apply_config(args, actions))
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

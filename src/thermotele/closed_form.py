@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import _version
 from ._optimize import maximize_ratio
 from .averaging import DEFAULT_GRID, QuadratureGrid, average_all
-from .spin_models import DerivedParams, HeisenbergParams, thermal_state
+from .spin_models import DerivedParams, HeisenbergParams, elementwise, thermal_state
 from .teleport import CorrectionLabel
 
 # beta times a gap parameter below which sinh(beta x)/x switches to its
@@ -59,42 +59,78 @@ class Branch(Enum):
 class ClosedFormInputs:
     """Arguments of the printed expressions: sector parameters, jz, beta.
 
+    Fields are floats for one point or equal-length arrays for a batch of
+    points; every expression below is elementwise in them, broadcasts
+    against its angle argument, and gives a point the same bits alone as
+    in any batch.
+
     ``derived`` and ``jz`` are deliberately independent fields so that a
     convention mapping can flip the sign of jz without touching the gap
     parameters (which do not involve jz).
     """
 
     derived: DerivedParams
-    jz: float
-    beta: float
+    jz: float | np.ndarray
+    beta: float | np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        beta = np.asarray(self.beta, dtype=float)
+        bad = beta[~(np.isfinite(beta) & (beta >= 0.0))]
+        if bad.size:
+            raise ValueError(f"beta must be finite and >= 0, got {bad[0]}")
 
     @classmethod
-    def from_heisenberg(cls, p: HeisenbergParams, beta: float) -> "ClosedFormInputs":
-        return cls(derived=p.derived(), jz=p.jz, beta=beta)
+    def from_heisenberg(cls, p, beta) -> "ClosedFormInputs":
+        """``p`` is one HeisenbergParams (float fields), or a sequence of
+        them with one beta each (array fields)."""
+        if isinstance(p, HeisenbergParams):
+            jx, jy, jz, ha, hb = p.jx, p.jy, p.jz, p.ha, p.hb
+        else:
+            couplings = [(q.jx, q.jy, q.jz, q.ha, q.hb) for q in p]
+            jx, jy, jz, ha, hb = np.array(couplings, dtype=float).reshape(-1, 5).T
+        return cls(DerivedParams.from_couplings(jx, jy, ha, hb), jz, beta)
+
+    def take(self, index) -> "ClosedFormInputs":
+        """The sub-batch ``index`` (numpy indexing) of a batch."""
+        derived = {k: v[index] for k, v in vars(self.derived).items()}
+        return ClosedFormInputs(DerivedParams(**derived), self.jz[index], self.beta[index])
 
 
 # ---------------------------------------------------------------------------
 # shifted hyperbolic building blocks
 
+_exp = elementwise(math.exp, 1)
 
-def _shifted_cosh(beta, x, offset, shift):
-    """exp(-beta shift) * exp(beta offset) * cosh(beta x), overflow-free."""
-    return 0.5 * (
-        math.exp(beta * (offset + x - shift)) + math.exp(beta * (offset - x - shift))
+
+def _shifted_pair(beta, x, offset, shift):
+    """exp(-beta shift) exp(beta offset) times cosh(beta x) and times
+    sinh(beta x)/x, overflow-free; the ratio takes its Taylor form (x -> 0
+    limit) where beta x < GAP_EPS."""
+    up = _exp(beta * (offset + x - shift))
+    down = _exp(beta * (offset - x - shift))
+    # both forms are evaluated everywhere, so the series sees beta x only
+    # where it applies and the difference quotient gets a unit divisor
+    # where x may vanish: neither can overflow or divide by zero
+    taylor = beta * x < GAP_EPS
+    series_x = _where(taylor, beta * x, 0.0)
+    ratio = _where(
+        taylor,
+        beta * _exp(beta * (offset - shift)) * (1.0 + series_x**2 / 6.0),
+        (up - down) / _where(taylor, 1.0, 2.0 * x),
     )
+    return 0.5 * (up + down), ratio
 
 
-def _shifted_sinh_ratio(beta, x, offset, shift):
-    """exp(-beta shift) * exp(beta offset) * sinh(beta x)/x with x -> 0 limit."""
-    if beta * x < GAP_EPS:
-        return beta * math.exp(beta * (offset - shift)) * (1.0 + (beta * x) ** 2 / 6.0)
-    return (
-        math.exp(beta * (offset + x - shift)) - math.exp(beta * (offset - x - shift))
-    ) / (2.0 * x)
+def _where(cond, a, b):
+    """``np.where`` on arrays, the plain choice on a single point."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _maximum(a, b):
+    """``np.maximum`` on arrays, ``max`` on a single point."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
 
 
 @dataclass(frozen=True)
@@ -106,39 +142,33 @@ class _PhiFamilyTerms:
     is always in [1/2, 2] and ratios are safe at any beta.
     """
 
-    cosh_chi: float          # cosh(beta chi)
-    sinh_chi_ratio: float    # sinh(beta chi)/chi
-    cosh_eta_jz: float       # e^{2 beta jz} cosh(beta eta)
-    sinh_eta_jz_ratio: float  # e^{2 beta jz} sinh(beta eta)/eta
+    cosh_chi: np.ndarray          # cosh(beta chi)
+    sinh_chi_ratio: np.ndarray    # sinh(beta chi)/chi
+    cosh_eta_jz: np.ndarray       # e^{2 beta jz} cosh(beta eta)
+    sinh_eta_jz_ratio: np.ndarray  # e^{2 beta jz} sinh(beta eta)/eta
 
 
 @dataclass(frozen=True)
 class _PsiFamilyTerms:
-    cosh_eta: float          # cosh(beta eta)
-    sinh_eta_ratio: float    # sinh(beta eta)/eta
-    cosh_chi_jz: float       # e^{-2 beta jz} cosh(beta chi)
-    sinh_chi_jz_ratio: float  # e^{-2 beta jz} sinh(beta chi)/chi
+    cosh_eta: np.ndarray          # cosh(beta eta)
+    sinh_eta_ratio: np.ndarray    # sinh(beta eta)/eta
+    cosh_chi_jz: np.ndarray       # e^{-2 beta jz} cosh(beta chi)
+    sinh_chi_jz_ratio: np.ndarray  # e^{-2 beta jz} sinh(beta chi)/chi
 
 
 def _phi_family(inp: ClosedFormInputs) -> _PhiFamilyTerms:
     d, b, jz = inp.derived, inp.beta, inp.jz
-    shift = max(d.chi, 2.0 * jz + d.eta)
+    shift = _maximum(d.chi, 2.0 * jz + d.eta)
     return _PhiFamilyTerms(
-        cosh_chi=_shifted_cosh(b, d.chi, 0.0, shift),
-        sinh_chi_ratio=_shifted_sinh_ratio(b, d.chi, 0.0, shift),
-        cosh_eta_jz=_shifted_cosh(b, d.eta, 2.0 * jz, shift),
-        sinh_eta_jz_ratio=_shifted_sinh_ratio(b, d.eta, 2.0 * jz, shift),
+        *_shifted_pair(b, d.chi, 0.0, shift), *_shifted_pair(b, d.eta, 2.0 * jz, shift)
     )
 
 
 def _psi_family(inp: ClosedFormInputs) -> _PsiFamilyTerms:
     d, b, jz = inp.derived, inp.beta, inp.jz
-    shift = max(d.eta, d.chi - 2.0 * jz)
+    shift = _maximum(d.eta, d.chi - 2.0 * jz)
     return _PsiFamilyTerms(
-        cosh_eta=_shifted_cosh(b, d.eta, 0.0, shift),
-        sinh_eta_ratio=_shifted_sinh_ratio(b, d.eta, 0.0, shift),
-        cosh_chi_jz=_shifted_cosh(b, d.chi, -2.0 * jz, shift),
-        sinh_chi_jz_ratio=_shifted_sinh_ratio(b, d.chi, -2.0 * jz, shift),
+        *_shifted_pair(b, d.eta, 0.0, shift), *_shifted_pair(b, d.chi, -2.0 * jz, shift)
     )
 
 
@@ -148,7 +178,7 @@ def _psi_family(inp: ClosedFormInputs) -> _PsiFamilyTerms:
 
 def q_rate(inp: ClosedFormInputs, phi):
     """Success rate q(phi) of outcomes 1 and 4; outcomes 2 and 3 carry
-    q(pi/2 - phi).  Accepts a scalar or array ``phi``."""
+    q(pi/2 - phi).  ``phi`` broadcasts against the inputs."""
     d = inp.derived
     t = _phi_family(inp)
     num = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
@@ -173,7 +203,8 @@ def f_branch(inp: ClosedFormInputs, branch: Branch, phi):
 
 
 def _branch_det_opt(inp: ClosedFormInputs, branch: Branch):
-    """Printed optimum of one deterministic branch under the +/- pi/4 rule.
+    """Printed optimum of one deterministic branch under the +/- pi/4 rule,
+    as (value, angle).
 
     The phi-branch keys on the sign of sigma_j, the psi-branch on delta_j;
     a non-negative key selects 3pi/4 (equivalent to -pi/4).
@@ -191,8 +222,7 @@ def _branch_det_opt(inp: ClosedFormInputs, branch: Branch):
             3.0 * (t.cosh_chi_jz + t.cosh_eta)
         )
         key = d.delta_j
-    best_phi = math.pi / 4.0 if key <= 0.0 else 3.0 * math.pi / 4.0
-    return float(value), best_phi
+    return value, _where(key <= 0.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 
 
 def _g_coefficients(inp: ClosedFormInputs, branch: Branch):
@@ -255,19 +285,36 @@ def _printed(branch: Branch) -> Branch:
     return branch
 
 
-def _det_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
-    """Best of the two branch optima; ``formula_branch`` maps each
-    reported branch to the printed one that describes it."""
-    best = None
-    for branch in (Branch.PHI, Branch.PSI):
-        value, phi = _branch_det_opt(inp, formula_branch(branch))
-        if best is None or value > best.best_value:
-            best = OptimizationResult(value, phi, branch, 1.0, None)
-    return best
+def _one_or_all(inp: ClosedFormInputs, results: list):
+    """The result of a single point (float inputs) or the batch's list."""
+    return results if np.ndim(inp.jz) or np.ndim(inp.beta) else results[0]
 
 
-def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
-    """Exact maximum of g over phi and both branches.
+def _rows(*columns) -> list:
+    """Columns (broadcast first) as one tuple of floats per point."""
+    if not any(isinstance(c, np.ndarray) for c in columns):
+        return [tuple(map(float, columns))]
+    shape = np.broadcast(*columns).shape
+    return list(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)))
+
+
+def _det_optimum(inp: ClosedFormInputs, formula_branch) -> list:
+    """Best of the two branch optima for every point of the batch (the phi
+    branch unless the psi one is strictly better); ``formula_branch`` maps
+    each reported branch to the printed one that describes it."""
+    phi_value, phi_angle = _branch_det_opt(inp, formula_branch(Branch.PHI))
+    psi_value, psi_angle = _branch_det_opt(inp, formula_branch(Branch.PSI))
+    return [
+        OptimizationResult(b, bphi, Branch.PSI, 1.0, None)
+        if b > a
+        else OptimizationResult(a, aphi, Branch.PHI, 1.0, None)
+        for a, aphi, b, bphi in _rows(phi_value, phi_angle, psi_value, psi_angle)
+    ]
+
+
+def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> list:
+    """Exact maximum of g over phi and both branches, for every point of
+    the batch, one scalar optimizer call per point and branch.
 
     Angles whose pair probability falls below MIN_PAIR_PROBABILITY are
     excluded, and fidelities within SUCCESS_TIE_TOL of the top go to the
@@ -280,35 +327,45 @@ def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
         # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
         # itself, with the tie window scaled to match
         num, den, scale = _g_coefficients(inp, formula_branch(branch))
-        opt = maximize_ratio(
-            _single_angle(num),
-            _single_angle(den),
-            floor=2.0 * MIN_PAIR_PROBABILITY * scale,
-            tie_tol=3.0 * SUCCESS_TIE_TOL,
-        )
-        if best is None or opt.value > best[0].value:
-            best = (opt, branch)
-    opt, branch = best
-    rate = 2.0 * float(q_rate(inp, opt.phi))
-    return OptimizationResult(1.0 / 3.0 + opt.value / 3.0, opt.phi, branch, rate, (1, 4))
+        opts = [
+            (
+                maximize_ratio(
+                    row[:3], row[3:6], floor=row[6], tie_tol=3.0 * SUCCESS_TIE_TOL
+                ),
+                branch,
+            )
+            for row in _rows(
+                *_single_angle(num), *_single_angle(den), 2.0 * MIN_PAIR_PROBABILITY * scale
+            )
+        ]
+        best = opts if best is None else [
+            new if new[0].value > old[0].value else old for old, new in zip(best, opts)
+        ]
+    rates = np.ravel(2.0 * q_rate(inp, [opt.phi for opt, _ in best])).tolist()
+    return [
+        OptimizationResult(1.0 / 3.0 + opt.value / 3.0, opt.phi, branch, rate, (1, 4))
+        for (opt, branch), rate in zip(best, rates)
+    ]
 
 
-def f_det_optimal(inp: ClosedFormInputs) -> OptimizationResult:
-    """Best deterministic efficiency over both printed branches.
+def f_det_optimal(inp: ClosedFormInputs):
+    """Best deterministic efficiency over both printed branches: one
+    result for a single point, a list for a batch.
 
     The optimum always sits at phi = +/- pi/4 (the standard Bell basis);
     only the sign, fixed by sigma_j and delta_j, varies.
     """
-    return _det_optimum(inp, _printed)
+    return _one_or_all(inp, _det_optimum(inp, _printed))
 
 
-def prob_optimal(inp: ClosedFormInputs) -> OptimizationResult:
-    """Best postselected efficiency over both printed branches and phi.
+def prob_optimal(inp: ClosedFormInputs):
+    """Best postselected efficiency over both printed branches and phi:
+    one result for a single point, a list for a batch.
 
     The returned success rate is that of the postselected outcome pair,
     2 q(phi_opt).
     """
-    return _prob_optimum(inp, _printed)
+    return _one_or_all(inp, _prob_optimum(inp, _printed))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +393,11 @@ class ConventionMapping:
             parts.append("swap_phi_psi")
         return "+".join(parts) if parts else "identity"
 
-    def inputs(self, p: HeisenbergParams, beta: float) -> ClosedFormInputs:
-        jz = -p.jz if self.flip_jz else p.jz
-        return ClosedFormInputs(derived=p.derived(), jz=jz, beta=beta)
+    def inputs(self, p, beta) -> ClosedFormInputs:
+        """Inputs of one HeisenbergParams or of a sequence of them, with
+        one beta each."""
+        inp = ClosedFormInputs.from_heisenberg(p, beta)
+        return replace(inp, jz=-inp.jz) if self.flip_jz else inp
 
     def formula_branch(self, physical: Branch) -> Branch:
         if not self.swap_branches:
@@ -408,49 +467,63 @@ class ReconciliationReport:
             fh.write("\n")
 
 
-def _case_errors(p, beta, phi, oracle, mappings):
-    """Worst |printed - oracle| over q, f and g entries of one case, one
-    value per mapping in ``mappings``.
+def _case_errors(cases, oracles, mappings) -> np.ndarray:
+    """Worst |printed - oracle| over the q, f and g entries of every case,
+    as an array with one row per case and one column per mapping.
 
-    The mappings differ only by the sign of jz and by which printed branch
-    describes which physical family, so each printed quantity is evaluated
-    once per (jz sign, printed branch) on every angle the case needs, and
-    each mapping reads its predictions from those arrays.  A family's two
+    ``cases`` are (params, beta, phi) tuples and ``oracles`` their
+    ``average_all`` results.  The mappings differ only by the sign of jz
+    and by which printed branch describes which physical family, so all
+    cases are scored in one pass: per jz sign one ``q_rate`` call on
+    (phi, pi/2 - phi), and per printed branch one ``f_branch`` call on
+    (phi, -phi) and one ``g_branch`` call on the angles of the outcomes
+    the skip rule keeps, flattened across cases.  Each mapping then reads
+    the predictions of its jz sign and branch assignment.  A family's two
     sets are its + and - angle signs (``_SET_BRANCH_SIGN``), so stacking
     the families in ``Branch`` order gives the oracle's set columns.
     """
+    params = [p for p, _, _ in cases]
+    beta = np.array([b for _, b, _ in cases], dtype=float)[:, None]
+    phi = np.array([a for _, _, a in cases], dtype=float)[:, None]
+    qbar = np.array([o.qbar for o in oracles])
+    fbar_det = np.array([o.fbar_det for o in oracles])
+    fbar_cond = np.array([o.fbar_cond for o in oracles])
+    det_angles = np.hstack([phi, -phi])
     # conditional averages are compared only where the outcome probability
     # is large enough for double precision to resolve them to the
-    # reconciliation tolerance; skipped outcomes are never evaluated
-    kept = [j for j in range(1, 5) if oracle.qbar[j - 1] >= 0.5 * MIN_PAIR_PROBABILITY]
-    oracle_cond = oracle.fbar_cond[[j - 1 for j in kept]]
-    det_angles = [phi, -phi]
-    cond_angles = [
-        a if j in (1, 4) else math.pi / 2.0 - a for a in det_angles for j in kept
-    ]
-    derived = p.derived()
-    q_pred, det_pred, cond_pred = {}, {}, {}
-    for flip in {m.flip_jz for m in mappings}:
-        inp = ClosedFormInputs(derived=derived, jz=-p.jz if flip else p.jz, beta=beta)
-        q14, q23 = q_rate(inp, [phi, math.pi / 2.0 - phi])
-        q_pred[flip] = np.array([q14, q23, q23, q14])
-        for branch in Branch:
-            det_pred[flip, branch] = f_branch(inp, branch, det_angles)
-            if kept:
-                cond_pred[flip, branch] = g_branch(inp, branch, cond_angles).reshape(2, -1)
+    # reconciliation tolerance; skipped outcomes are never evaluated.
+    # Entries run over (case, angle sign, outcome j); outcomes 1 and 4 sit
+    # at the family angle a, outcomes 2 and 3 at pi/2 - a
+    kept = np.broadcast_to(
+        (qbar >= 0.5 * MIN_PAIR_PROBABILITY)[:, None, :], (len(cases), 2, 4)
+    )
+    rows, sign, outcome = np.nonzero(kept)
+    a = det_angles[rows, sign]
+    cond_angles = np.where((outcome == 0) | (outcome == 3), a, math.pi / 2.0 - a)
 
-    errors = []
-    for m in mappings:
+    q_err, det_pred, cond_pred = {}, {}, {}
+    for flip in {m.flip_jz for m in mappings}:
+        # the inputs of any mapping with this jz sign
+        inp = next(m for m in mappings if m.flip_jz == flip).inputs(params, beta[:, 0])
+        wide = inp.take((slice(None), None))
+        q14, q23 = q_rate(wide, np.hstack([phi, math.pi / 2.0 - phi])).T
+        q_pred = np.stack([q14, q23, q23, q14], axis=1)
+        q_err[flip] = np.max(np.abs(q_pred - qbar), axis=1)
+        for branch in Branch:
+            det_pred[flip, branch] = f_branch(wide, branch, det_angles)
+            if rows.size:
+                cond_pred[flip, branch] = g_branch(inp.take(rows), branch, cond_angles)
+
+    errors = np.empty((len(cases), len(mappings)))
+    for k, m in enumerate(mappings):
         printed = [(m.flip_jz, m.formula_branch(family)) for family in Branch]
-        det = np.concatenate([det_pred[k] for k in printed])
-        worst = max(
-            float(np.max(np.abs(q_pred[m.flip_jz] - oracle.qbar))),
-            float(np.max(np.abs(det - oracle.fbar_det))),
-        )
-        if kept:
-            cond = np.vstack([cond_pred[k] for k in printed]).T
-            worst = max(worst, float(np.max(np.abs(cond - oracle_cond))))
-        errors.append(worst)
+        det = np.hstack([det_pred[key] for key in printed])
+        worst = np.maximum(q_err[m.flip_jz], np.max(np.abs(det - fbar_det), axis=1))
+        for f, key in enumerate(printed):
+            if rows.size:
+                oracle = fbar_cond[rows, outcome, 2 * f + sign]
+                np.maximum.at(worst, rows, np.abs(cond_pred[key] - oracle))
+        errors[:, k] = worst
     return errors
 
 
@@ -469,12 +542,8 @@ def reconcile_conventions(
     survive, the report comes back unresolved and callers must fall back
     to oracle-computed quantities.
 
-    Each case runs the oracle once and scores all four candidates in one
-    pass (``_case_errors``): per sign of jz, one ``q_rate`` call on
-    (phi, pi/2 - phi) and, per printed branch, one ``f_branch`` call on
-    (phi, -phi) and one ``g_branch`` call on the angles of the outcomes
-    the skip rule keeps; each candidate then reads the predictions of its
-    own jz sign and branch assignment.
+    The oracle runs once per case; ``_case_errors`` then scores all cases
+    under all four candidates in one pass.
     """
     if case_count < 100:
         raise ValueError("reconciliation needs at least 100 cases")
@@ -486,25 +555,21 @@ def reconcile_conventions(
         phi = float(rng.uniform(0.0, math.pi))
         cases.append((p, beta, phi))
 
-    errors = {m.name: 0.0 for m in CANDIDATE_MAPPINGS}
-    for p, beta, phi in cases:
-        oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi, grid)
-        case = _case_errors(p, beta, phi, oracle, CANDIDATE_MAPPINGS)
-        for m, err in zip(CANDIDATE_MAPPINGS, case):
-            errors[m.name] = max(errors[m.name], err)
+    oracles = [
+        average_all(thermal_state(p, 1.0 / beta).rho, phi, grid) for p, beta, phi in cases
+    ]
+    table = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
+    errors = {m.name: float(table[:, k].max()) for k, m in enumerate(CANDIDATE_MAPPINGS)}
 
     winners = [m for m in CANDIDATE_MAPPINGS if errors[m.name] <= RESOLUTION_TOL]
     mapping = winners[0] if len(winners) == 1 else None
 
     p, beta, phi = _SINGLET_CASE
-    oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi, grid)
     singlet = {
         "jx": p.jx, "jy": p.jy, "jz": p.jz, "ha": p.ha, "hb": p.hb,
         "beta": beta,
         "phi": phi,
-        "oracle_det_psi_minus": float(
-            oracle.fbar_det[3]
-        ),
+        "oracle_det_psi_minus": float(oracles[0].fbar_det[3]),
         # psi- is the psi family at angle -phi
         "predicted_det_psi_minus": {
             m.name: float(f_branch(m.inputs(p, beta), m.formula_branch(Branch.PSI), -phi))
@@ -547,33 +612,41 @@ def default_mapping() -> ConventionMapping:
 
 
 def reconciled_pair_rate(
-    p: HeisenbergParams,
-    beta: float,
-    phi: float,
+    p,
+    beta,
+    phi,
     pair=(1, 4),
     mapping: ConventionMapping | None = None,
-) -> float:
-    """Success rate of postselecting ``pair`` at basis angle ``phi``."""
+):
+    """Success rate of postselecting ``pair`` at basis angle ``phi``.
+
+    ``p`` is one HeisenbergParams (a float comes back) or a sequence of
+    them with one beta, angle and pair each (a list comes back).
+    """
     mapping = mapping or default_mapping()
     inp = mapping.inputs(p, beta)
-    angle = phi if tuple(pair) == (1, 4) else math.pi / 2.0 - phi
-    return 2.0 * float(q_rate(inp, angle))
+    phi = np.asarray(phi, dtype=float)
+    mirrored = np.any(np.asarray(pair) != (1, 4), axis=-1)
+    rate = 2.0 * q_rate(inp, np.where(mirrored, math.pi / 2.0 - phi, phi))
+    return _one_or_all(inp, np.ravel(rate).tolist())
 
 
-def reconciled_det_optimal(
-    p: HeisenbergParams, beta: float, mapping: ConventionMapping | None = None
-) -> OptimizationResult:
-    """Deterministic optimum with physically labeled branches."""
+def reconciled_det_optimal(p, beta, mapping: ConventionMapping | None = None):
+    """Deterministic optimum with physically labeled branches: one result
+    for one HeisenbergParams, a list for a sequence of them (one beta
+    each)."""
     mapping = mapping or default_mapping()
-    return _det_optimum(mapping.inputs(p, beta), mapping.formula_branch)
+    inp = mapping.inputs(p, beta)
+    return _one_or_all(inp, _det_optimum(inp, mapping.formula_branch))
 
 
-def reconciled_prob_optimal(
-    p: HeisenbergParams, beta: float, mapping: ConventionMapping | None = None
-) -> OptimizationResult:
-    """Probabilistic optimum with physically labeled branches.
+def reconciled_prob_optimal(p, beta, mapping: ConventionMapping | None = None):
+    """Probabilistic optimum with physically labeled branches: one result
+    for one HeisenbergParams, a list for a sequence of them (one beta
+    each).
 
     success_rate is 2 q(phi_opt) for the postselected pair.
     """
     mapping = mapping or default_mapping()
-    return _prob_optimum(mapping.inputs(p, beta), mapping.formula_branch)
+    inp = mapping.inputs(p, beta)
+    return _one_or_all(inp, _prob_optimum(inp, mapping.formula_branch))

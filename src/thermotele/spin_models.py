@@ -47,33 +47,60 @@ class HeisenbergParams:
         _require_finite(jx=self.jx, jy=self.jy, jz=self.jz, ha=self.ha, hb=self.hb)
 
     def derived(self) -> "DerivedParams":
-        return DerivedParams.from_couplings(self)
+        return DerivedParams.from_couplings(self.jx, self.jy, self.ha, self.hb)
+
+
+def elementwise(fn, nin: int):
+    """The ``math`` function ``fn`` applied to floats or, entry by entry,
+    to arrays (which come back as float arrays).
+
+    numpy's own exp and hypot round differently from libm in the last bit,
+    so expressions that must give the same bits for a point alone and in
+    a batch call libm on every entry.
+    """
+    ufunc = np.frompyfunc(fn, nin, 1)
+
+    def apply(*args):
+        for a in args:
+            if isinstance(a, np.ndarray):
+                return ufunc(*args).astype(float)
+        return fn(*args)
+
+    return apply
+
+
+_hypot = elementwise(math.hypot, 2)
 
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """Coupling sums/differences and the two sector gap parameters."""
+    """Coupling sums/differences and the two sector gap parameters.
 
-    delta_j: float
-    sigma_j: float
-    delta_h: float
-    sigma_h: float
-    eta: float
-    chi: float
+    Fields are floats for one coupling set or equal-length arrays for a
+    batch of them.
+    """
+
+    delta_j: float | np.ndarray
+    sigma_j: float | np.ndarray
+    delta_h: float | np.ndarray
+    sigma_h: float | np.ndarray
+    eta: float | np.ndarray
+    chi: float | np.ndarray
 
     @classmethod
-    def from_couplings(cls, p: HeisenbergParams) -> "DerivedParams":
-        delta_j = p.jx - p.jy
-        sigma_j = p.jx + p.jy
-        delta_h = p.ha - p.hb
-        sigma_h = p.ha + p.hb
+    def from_couplings(cls, jx, jy, ha, hb) -> "DerivedParams":
+        """From the xy couplings and the two fields, floats or arrays."""
+        delta_j = jx - jy
+        sigma_j = jx + jy
+        delta_h = ha - hb
+        sigma_h = ha + hb
         return cls(
             delta_j=delta_j,
             sigma_j=sigma_j,
             delta_h=delta_h,
             sigma_h=sigma_h,
-            eta=math.hypot(delta_j, sigma_h),
-            chi=math.hypot(delta_h, sigma_j),
+            eta=_hypot(delta_j, sigma_h),
+            chi=_hypot(delta_h, sigma_j),
         )
 
 

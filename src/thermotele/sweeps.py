@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,20 +222,79 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     }
 
 
-def _closed_point(p: HeisenbergParams, kt: float, mapping: ConventionMapping):
-    beta = 1.0 / kt
-    det = reconciled_det_optimal(p, beta, mapping)
-    prob = reconciled_prob_optimal(p, beta, mapping)
-    return {
-        "det_value": det.best_value,
-        "det_phi": det.best_phi,
-        "det_set": _SET_FOR_BRANCH[det.best_branch],
-        "prob_value": prob.best_value,
-        "prob_phi": prob.best_phi,
-        "prob_set": _SET_FOR_BRANCH[prob.best_branch],
-        "prob_pair": f"{prob.outcome_pair[0]}+{prob.outcome_pair[1]}",
-        "success_rate": prob.success_rate,
-    }
+def _closed_points(params, kts, mapping: ConventionMapping) -> list:
+    """Closed-engine optima of a batch of points, one record dict each;
+    every closed form runs once on the whole batch."""
+    betas = 1.0 / np.asarray(kts, dtype=float)
+    dets = reconciled_det_optimal(params, betas, mapping)
+    probs = reconciled_prob_optimal(params, betas, mapping)
+    return [
+        {
+            "det_value": det.best_value,
+            "det_phi": det.best_phi,
+            "det_set": _SET_FOR_BRANCH[det.best_branch],
+            "prob_value": prob.best_value,
+            "prob_phi": prob.best_phi,
+            "prob_set": _SET_FOR_BRANCH[prob.best_branch],
+            "prob_pair": f"{prob.outcome_pair[0]}+{prob.outcome_pair[1]}",
+            "success_rate": prob.success_rate,
+        }
+        for det, prob in zip(dets, probs)
+    ]
+
+
+def _record(model, p, native, kt, engine, point) -> SweepRecord:
+    return SweepRecord(
+        model=model,
+        params=p,
+        native=native,
+        kt=kt,
+        engine=engine,
+        above_classical_det=point["det_value"] > CLASSICAL_LIMIT,
+        above_classical_prob=point["prob_value"] > CLASSICAL_LIMIT,
+        **point,
+    )
+
+
+def _closed_records(model, points, mapping) -> list:
+    """Closed-engine records of (params, native, kt) points, in one pass."""
+    closed = _closed_points([p for p, _, _ in points], [kt for _, _, kt in points], mapping)
+    return [
+        _record(model, p, native, kt, "closed", point)
+        for (p, native, kt), point in zip(points, closed)
+    ]
+
+
+def _checked_records(records, mapping) -> list:
+    """Oracle records as engine "both", each carrying its worst absolute
+    gap to the closed forms; the closed half runs once on the batch.
+
+    The success rate is compared at the oracle's angle: optimal angles
+    themselves are sqrt-conditioned on flat maxima, but the averaged
+    quantities at any common angle are not.
+    """
+    params = [r.params for r in records]
+    kts = [r.kt for r in records]
+    closed = _closed_points(params, kts, mapping)
+    rates = reconciled_pair_rate(
+        params,
+        1.0 / np.asarray(kts, dtype=float),
+        [r.prob_phi for r in records],
+        [tuple(int(s) for s in r.prob_pair.split("+")) for r in records],
+        mapping,
+    )
+    return [
+        replace(
+            r,
+            engine="both",
+            engine_disagreement=max(
+                abs(r.det_value - c["det_value"]),
+                abs(r.prob_value - c["prob_value"]),
+                abs(r.success_rate - rate),
+            ),
+        )
+        for r, c, rate in zip(records, closed, rates)
+    ]
 
 
 def _resolve_mapping(engine: str):
@@ -247,6 +306,14 @@ def _resolve_mapping(engine: str):
         raise RuntimeError(f"{exc}; rerun with engine='oracle'") from None
 
 
+def _point_params(model: str, values: dict):
+    """Raw couplings and model-native parameters from ``values`` (any kt
+    entry is ignored)."""
+    values = {_canonical_key(k): float(v) for k, v in values.items()}
+    values.pop("kt", None)
+    return _params_for(model, values)
+
+
 def evaluate_point(
     model: str,
     values: dict,
@@ -255,55 +322,31 @@ def evaluate_point(
     grid: QuadratureGrid = DEFAULT_GRID,
     mapping: ConventionMapping | None = None,
 ) -> SweepRecord:
-    """One sweep point.  ``values`` holds the model-native parameters."""
+    """One sweep point.  ``values`` holds the model-native parameters.
+    The closed engine treats it as a batch of one."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if not kt > 0.0:
         raise ValueError(f"kT must be positive, got {kt}")
     if mapping is None and engine != "oracle":
         mapping = _resolve_mapping(engine)
-    values = {_canonical_key(k): float(v) for k, v in values.items()}
-    values.pop("kt", None)
-    p, native = _params_for(model, values)
-
-    disagreement = None
+    p, native = _point_params(model, values)
     if engine == "closed":
-        point = _closed_point(p, kt, mapping)
-    elif engine == "oracle":
-        point = _oracle_point(p, kt, grid)
-    else:
-        point = _oracle_point(p, kt, grid)
-        closed = _closed_point(p, kt, mapping)
-        # the success rate is compared at the oracle's angle: optimal
-        # angles themselves are sqrt-conditioned on flat maxima, but the
-        # averaged quantities at any common angle are not
-        pair = tuple(int(s) for s in point["prob_pair"].split("+"))
-        rate_at = reconciled_pair_rate(p, 1.0 / kt, point["prob_phi"], pair, mapping)
-        disagreement = max(
-            abs(point["det_value"] - closed["det_value"]),
-            abs(point["prob_value"] - closed["prob_value"]),
-            abs(point["success_rate"] - rate_at),
-        )
-
-    return SweepRecord(
-        model=model,
-        params=p,
-        native=native,
-        kt=kt,
-        engine=engine,
-        above_classical_det=point["det_value"] > CLASSICAL_LIMIT,
-        above_classical_prob=point["prob_value"] > CLASSICAL_LIMIT,
-        engine_disagreement=disagreement,
-        **point,
-    )
+        return _closed_records(model, [(p, native, kt)], mapping)[0]
+    record = _record(model, p, native, kt, "oracle", _oracle_point(p, kt, grid))
+    return _checked_records([record], mapping)[0] if engine == "both" else record
 
 
 def run_sweep(spec: SweepSpec):
     """Evaluate the sweep, one record per grid point, ordered by the swept
     value.  With engine "both" the record carries the oracle numbers and
-    the worst absolute oracle/closed-form disagreement."""
+    the worst absolute oracle/closed-form disagreement.
+
+    The oracle half calls ``evaluate_point`` once per point; the closed
+    half evaluates all points in one pass.
+    """
     mapping = _resolve_mapping(spec.engine)
-    records = []
+    points = []
     for x in spec.grid_values():
         values = dict(spec.fixed)
         if spec.swept == "kt":
@@ -311,12 +354,16 @@ def run_sweep(spec: SweepSpec):
         else:
             kt = float(values["kt"])
             values[spec.swept] = float(x)
-        records.append(
-            evaluate_point(
-                spec.model, values, kt, spec.engine, spec.grid, mapping
-            )
+        points.append((values, kt))
+    if spec.engine == "closed":
+        return _closed_records(
+            spec.model, [(*_point_params(spec.model, v), kt) for v, kt in points], mapping
         )
-    return records
+    records = [
+        evaluate_point(spec.model, values, kt, "oracle", spec.grid)
+        for values, kt in points
+    ]
+    return _checked_records(records, mapping) if spec.engine == "both" else records
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +614,9 @@ def validate(seed: int = 20260810, cases: int = 200, report_path=None):
     Returns (exit_status, report_dict); nonzero status on any failure.
     Writes the JSON report (including the reconciliation section) when
     ``report_path`` is given.  The reconciliation section records its wall
-    time and whether this process had already computed it (``cached``).
+    time and whether this process had already computed it (``cached``);
+    ``grid`` is the quadrature grid of the oracle wherever a check does
+    not name its own in its details.
     """
     from . import _checks
 
@@ -581,6 +630,7 @@ def validate(seed: int = 20260810, cases: int = 200, report_path=None):
         "tool_version": _version.__version__,
         "seed": seed,
         "cases": cases,
+        "grid": asdict(DEFAULT_GRID),
         "reconciliation": {
             **reconciliation.to_dict(), "wall_s": reconciliation_s, "cached": cached,
         },

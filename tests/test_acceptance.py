@@ -168,3 +168,14 @@ def test_report_shows_time_and_margin(battery):
     reconciliation = report["reconciliation"]
     assert reconciliation["wall_s"] >= 0.0
     assert isinstance(reconciliation["cached"], bool)
+
+
+def test_report_records_quadrature_grids(battery):
+    # the oracle's default grid at the top level; the criteria that use
+    # their own grid name it in their details
+    _, report, report_path = battery
+    assert report["grid"] == {"n_alpha": 64, "n_gamma": 64}
+    by_name = {c["name"]: c for c in report["checks"]}
+    for name in ("classical_bound", "infinite_temperature_limit"):
+        assert by_name[name]["details"]["grid"] == {"n_alpha": 16, "n_gamma": 16}
+    assert json.loads(report_path.read_text())["grid"] == report["grid"]

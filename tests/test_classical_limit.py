@@ -47,6 +47,16 @@ class TestSeparableChannel:
         for _ in range(20):
             random_separable_channel(rng).density()
 
+    def test_density_equals_kron_sum(self):
+        # the broadcast outer product gives np.kron's bits exactly
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            channel = random_separable_channel(rng)
+            rho = np.zeros((4, 4), dtype=complex)
+            for w, a, b in channel.terms:
+                rho += w * np.kron(a.density(), b.density())
+            assert np.array_equal(channel.density().mat, rho)
+
     def test_rejects_bad_weights(self):
         pole = BlochVector(0, 0, 1)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -99,4 +100,50 @@ def test_bad_physical_input_is_a_one_line_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("thermotele: error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--model", "xx", "--lambda", "0.7", "--kt", "0.1"],
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+         "--from", "0.1", "--to", "1.0", "--steps", "3"],
+        ["validate"],
+    ],
+)
+def test_config_values_take_the_flag_type(argv, tmp_path):
+    # --out has no default, so its value must be parsed as the flag's
+    # Path type, not as a float
+    config = tmp_path / "run.cfg"
+    config.write_text("out = results.csv\nseed = 7\n")
+    parser, commands = cli.build_parser()
+    args = parser.parse_args([*argv, "--config", str(config)])
+    actions = {a.dest: a for a in commands[args.command]._actions}
+    args = cli._apply_config(args, actions)
+    assert args.out == Path("results.csv")
+    assert args.seed == 7
+
+
+def test_config_out_writes_the_csv(tmp_path, capsys):
+    out = tmp_path / "point.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {out}\n")
+    argv = ["point", "--model", "xx", "--lambda", "0.7", "--kt", "0.1"]
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    assert out.read_text().startswith("schema_version,model")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["kt = warm\n", "engine = fast\n", "bogus = 1\n", "no equals sign\n"],
+)
+def test_bad_config_is_a_one_line_error(text, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["point", "--model", "xx", "--lambda", "0.7", "--config", str(config)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("thermotele: error: ") and "config" in err
     assert err.count("\n") == 1

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from thermotele.closed_form import (
     ClosedFormInputs,
     ConventionMapping,
     _case_errors,
+    _phi_family,
+    _psi_family,
     default_mapping,
     f_branch,
     f_det_optimal,
@@ -312,7 +315,7 @@ class TestReconciliation:
         oracle = average_all(thermal_state(XXX_NO_FIELD, 10.0).rho, 0.6)
         errs = dict(zip(
             (m.name for m in CANDIDATE_MAPPINGS),
-            _case_errors(XXX_NO_FIELD, 0.1, 0.6, oracle, CANDIDATE_MAPPINGS),
+            _case_errors([(XXX_NO_FIELD, 0.1, 0.6)], [oracle], CANDIDATE_MAPPINGS)[0],
         ))
         # identity fails even here (branch labels differ), but flip-only
         # and flip+swap agree with their swap counterparts at jz ~ 0 cases
@@ -321,7 +324,7 @@ class TestReconciliation:
         for m in CANDIDATE_MAPPINGS:
             if not m.swap_branches:
                 continue
-            assert _case_errors(p_no_jz, 2.0, 0.6, oracle2, (m,))[0] < 1e-10
+            assert _case_errors([(p_no_jz, 2.0, 0.6)], [oracle2], (m,))[0, 0] < 1e-10
 
     def test_report_json_roundtrip(self, tmp_path):
         report = reconcile_conventions(case_count=100, seed=7)
@@ -430,7 +433,7 @@ class TestCaseErrors:
         # and those conditional averages are left out
         rng = np.random.default_rng(20260811)
         grid = QuadratureGrid(8, 8)
-        skipping = 0
+        cases, oracles = [], []
         for k in range(240):
             vals = rng.uniform(-3.0, 3.0, 5)
             beta = float(rng.uniform(0.05, 20.0))
@@ -441,19 +444,23 @@ class TestCaseErrors:
                 beta = float(rng.uniform(5.0, 20.0))
                 phi = (0.0, math.pi / 2.0, phi)[k % 3]
             p = HeisenbergParams(*vals)
-            oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi, grid)
-            skipping += bool(np.any(oracle.qbar < 0.5 * MIN_PAIR_PROBABILITY))
-            errors = _case_errors(p, beta, phi, oracle, CANDIDATE_MAPPINGS)
-            for m, err in zip(CANDIDATE_MAPPINGS, errors):
+            cases.append((p, beta, phi))
+            oracles.append(average_all(thermal_state(p, 1.0 / beta).rho, phi, grid))
+        # all cases in one batch, against one reference call per case
+        errors = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
+        assert errors.shape == (240, 4)
+        for (p, beta, phi), oracle, row in zip(cases, oracles, errors):
+            for m, err in zip(CANDIDATE_MAPPINGS, row):
                 assert err == reference_case_errors(p, beta, phi, oracle, m)
+        skipping = sum(bool(np.any(o.qbar < 0.5 * MIN_PAIR_PROBABILITY)) for o in oracles)
         assert skipping >= 25
 
     def test_mapping_subsets(self):
         p = HeisenbergParams(1.0, -0.5, 0.3, 0.8, -0.2)
         oracle = average_all(thermal_state(p, 0.7).rho, 1.1)
-        every = _case_errors(p, 1 / 0.7, 1.1, oracle, CANDIDATE_MAPPINGS)
+        every = _case_errors([(p, 1 / 0.7, 1.1)], [oracle], CANDIDATE_MAPPINGS)[0]
         for m, err in zip(CANDIDATE_MAPPINGS, every):
-            assert _case_errors(p, 1 / 0.7, 1.1, oracle, (m,)) == [err]
+            assert _case_errors([(p, 1 / 0.7, 1.1)], [oracle], (m,)).tolist() == [[err]]
 
 
 # ---------------------------------------------------------------------------
@@ -516,4 +523,76 @@ def test_extended_domain_states_rates_and_fidelities(case):
 def test_extended_domain_closed_matches_oracle(case):
     p, beta, phi = case
     oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi)
-    assert _case_errors(p, beta, phi, oracle, (default_mapping(),))[0] <= 1e-10
+    assert _case_errors([case], [oracle], (default_mapping(),))[0, 0] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# batches against the scalar closed forms they replaced, kept verbatim in
+# scalar_reference: every entry of a batch must carry the reference's bits
+
+
+def assert_batch_equals_reference(cases):
+    params = [p for p, _, _ in cases]
+    betas = np.array([beta for _, beta, _ in cases])
+    phis = np.array([phi for _, _, phi in cases])
+    batch = ClosedFormInputs.from_heisenberg(params, betas)
+    singles = [ref.ClosedFormInputs.from_heisenberg(p, beta) for p, beta, _ in cases]
+    pairs = list(zip(singles, phis.tolist()))
+
+    # the shifted hyperbolic terms themselves: outside them, a sinh(beta x)/x
+    # term is always multiplied by a component of its own gap x, so an error
+    # in its Taylor form would not show in q, f or g
+    for family, reference in ((_phi_family, ref._phi_family), (_psi_family, ref._psi_family)):
+        for name, column in vars(family(batch)).items():
+            assert column.tolist() == [getattr(reference(s), name) for s in singles]
+    assert q_rate(batch, phis).tolist() == [float(ref.q_rate(s, a)) for s, a in pairs]
+    for branch in Branch:
+        assert f_branch(batch, branch, phis).tolist() == [
+            float(ref.f_branch(s, branch, a)) for s, a in pairs
+        ]
+        # g_branch raises on a collapsed denominator, so compare the entries
+        # the reference can evaluate
+        kept, expected = [], []
+        for k, (s, a) in enumerate(pairs):
+            try:
+                expected.append(float(ref.g_branch(s, branch, a)))
+            except ValueError:
+                continue
+            kept.append(k)
+        kept = np.array(kept, dtype=int)
+        assert g_branch(batch.take(kept), branch, phis[kept]).tolist() == expected
+
+    for got, want in zip(f_det_optimal(batch), map(ref.f_det_optimal, singles)):
+        assert vars(got) == vars(want)
+    for got, want in zip(prob_optimal(batch), map(ref.prob_optimal, singles)):
+        assert vars(got) == vars(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(extended_cases(), min_size=1, max_size=8))
+def test_extended_domain_batches_equal_scalar_reference(cases):
+    assert_batch_equals_reference(cases)
+
+
+def test_batches_straddling_the_taylor_switch_equal_scalar_reference():
+    # one batch whose beta * eta (and, in the second half, beta * chi) runs
+    # from 1e-9 to 1e-7 across the GAP_EPS = 1e-8 switch of sinh(beta x)/x
+    small_eta = HeisenbergParams(0.7, 0.7 - 1e-9, 0.3, 0.4, -0.4)
+    small_chi = HeisenbergParams(0.5, -0.5 + 1e-9, -0.2, 0.3, 0.3)
+    betas = (1.0, 5.0, 9.99, 10.01, 20.0, 100.0)
+    cases = [(p, beta, 0.4 + 0.1 * k) for p in (small_eta, small_chi)
+             for k, beta in enumerate(betas)]
+    products = [beta * p.derived().eta for p, beta, _ in cases[:6]]
+    products += [beta * p.derived().chi for p, beta, _ in cases[6:]]
+    assert min(products) < 1e-8 < max(products)
+    assert_batch_equals_reference(cases)
+
+
+def test_single_point_is_a_batch_of_one():
+    mapping = default_mapping()
+    p = HeisenbergParams(0.3, -1.2, 0.5, 0.7, -0.4)
+    single = reconciled_prob_optimal(p, 2.0, mapping)
+    assert [single] == reconciled_prob_optimal([p], np.array([2.0]), mapping)
+    single = reconciled_det_optimal(p, 2.0, mapping)
+    assert [single] == reconciled_det_optimal([p], np.array([2.0]), mapping)
+    assert isinstance(single.best_value, float)

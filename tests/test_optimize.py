@@ -9,6 +9,7 @@ on the scan points.  The exact optimizer must never lose to it.
 import math
 
 import numpy as np
+import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +106,17 @@ def test_never_beaten_by_scan_and_golden_section(problem):
     assert opt.den >= floor * (1 - 1e-12)
     at_phi = float(masked_ratio(num, den, -np.inf, opt.phi))
     assert abs(at_phi - opt.value) <= 1e-12 * max(1.0, abs(opt.value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_equals_the_scalar_reference(problem):
+    # the optimizer before its rewrite, kept verbatim in scalar_reference
+    num, den, floor, tie_tol = problem
+    assert maximize_ratio(num, den, floor, tie_tol) == ref.maximize_ratio(
+        num, den, floor, tie_tol
+    )
+    assert maximize_ratio(num) == ref.maximize_ratio(num)
 
 
 @settings(max_examples=100, deadline=None)
