@@ -9,6 +9,7 @@ the quadrature oracle), and sweeps model parameters to regenerate the
 reference figure datasets.
 """
 
+from ._optimize import OptimizationResult
 from ._version import __version__
 from .averaging import (
     AveragedQuantities,
@@ -28,14 +29,11 @@ from .closed_form import (
     Branch,
     ClosedFormInputs,
     ConventionMapping,
-    OptimizationResult,
     ReconciliationReport,
     default_mapping,
     default_reconciliation,
     f_branch,
-    f_det_optimal,
     g_branch,
-    prob_optimal,
     q_rate,
     reconcile_conventions,
     reconciled_det_optimal,

@@ -18,13 +18,12 @@ import numpy as np
 from .averaging import QuadratureGrid, average_all
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
+    CANDIDATE_MAPPINGS,
     Branch,
-    ClosedFormInputs,
     _case_errors,
     default_mapping,
     default_reconciliation,
     f_branch,
-    f_det_optimal,
     reconciled_det_optimal,
     reconciled_prob_optimal,
 )
@@ -258,12 +257,8 @@ def check_infinite_temperature(seed: int = 0) -> CheckResult:
     grid = QuadratureGrid(16, 16)
     oracle = [_oracle_point(p, 1e6, grid) for p in params]
     worst = 0.0
-    for point in closed + oracle:
-        worst = max(
-            worst,
-            abs(point["det_value"] - 0.5),
-            abs(point["prob_value"] - 0.5),
-        )
+    for det, prob in closed + oracle:
+        worst = max(worst, abs(det.best_value - 0.5), abs(prob.best_value - 0.5))
     return CheckResult.within(
         "infinite_temperature_limit", worst, 1e-5, {"grid": asdict(grid)}
     )
@@ -283,35 +278,35 @@ def check_figure2_quantitative(seed: int = 0) -> CheckResult:
     the success-rate definition specifies; both rates land in details.
     """
     mapping = default_mapping()
-    p07, p13 = _closed_points(
+    (_, p07), (_, p13) = _closed_points(
         [from_xy_field(XYFieldParams(lam, 1.0)) for lam in (0.7, 1.3)], [0.1, 0.1], mapping
     )
-    ok_eff = p07["prob_value"] >= 0.99
-    ok_07 = 0.07 <= p07["success_rate"] <= 0.13
-    ok_13 = 0.25 <= p13["success_rate"] <= 0.35
+    ok_eff = p07.best_value >= 0.99
+    ok_07 = 0.07 <= p07.success_rate <= 0.13
+    ok_13 = 0.25 <= p13.success_rate <= 0.35
     err = 0.0
     if not ok_eff:
-        err = max(err, 0.99 - p07["prob_value"])
+        err = max(err, 0.99 - p07.best_value)
     if not ok_07:
         err = max(
             err,
-            max(0.07 - p07["success_rate"], p07["success_rate"] - 0.13),
+            max(0.07 - p07.success_rate, p07.success_rate - 0.13),
         )
     if not ok_13:
         err = max(
             err,
-            max(0.25 - p13["success_rate"], p13["success_rate"] - 0.35),
+            max(0.25 - p13.success_rate, p13.success_rate - 0.35),
         )
     return CheckResult(
         "figure2_quantitative",
         ok_eff and ok_07 and ok_13,
         err,
         {
-            "lam07_prob_value": p07["prob_value"],
-            "lam07_pair_success": p07["success_rate"],
-            "lam07_single_outcome_success": 0.5 * p07["success_rate"],
-            "lam13_prob_value": p13["prob_value"],
-            "lam13_pair_success": p13["success_rate"],
+            "lam07_prob_value": p07.best_value,
+            "lam07_pair_success": p07.success_rate,
+            "lam07_single_outcome_success": 0.5 * p07.success_rate,
+            "lam13_prob_value": p13.best_value,
+            "lam13_pair_success": p13.success_rate,
         },
     )
 
@@ -327,8 +322,8 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
     p_xx = from_xy_field(XYFieldParams(0.7, 0.0))
     kts = np.linspace(0.05, 3.0, 40)
     points = _closed_points([p_xx] * len(kts), kts, mapping)
-    det = np.array([pt["det_value"] for pt in points])
-    prob = np.array([pt["prob_value"] for pt in points])
+    det = np.array([opt.best_value for opt, _ in points])
+    prob = np.array([opt.best_value for _, opt in points])
     a_det_classical = bool(np.all(det <= CLASSICAL_LIMIT + 1e-9))
     a_prob_beats = bool(np.any(prob > CLASSICAL_LIMIT))
     a_increases = bool(np.any(np.diff(prob) > 1e-9))
@@ -342,10 +337,10 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
     b_negative_j = True
     for j in (-0.5, -1.5):
         p = from_xxz_field(XXZFieldParams(j, 1.0, 8.0))
-        for pt in _closed_points([p] * len(kts_xxx), kts_xxx, mapping):
+        for det_pt, prob_pt in _closed_points([p] * len(kts_xxx), kts_xxx, mapping):
             if (
-                pt["det_value"] > CLASSICAL_LIMIT + 1e-9
-                or pt["prob_value"] > CLASSICAL_LIMIT + 1e-9
+                det_pt.best_value > CLASSICAL_LIMIT + 1e-9
+                or prob_pt.best_value > CLASSICAL_LIMIT + 1e-9
             ):
                 b_negative_j = False
 
@@ -396,8 +391,10 @@ def check_deterministic_phi_rule(seed: int, cases: int = 200) -> CheckResult:
     worst = 0.0
     for _ in range(cases):
         p = _random_params(rng)
-        inp = ClosedFormInputs.from_heisenberg(p, float(rng.uniform(0.0, 20.0)))
-        ref = f_det_optimal(inp).best_value
+        beta = float(rng.uniform(0.0, 20.0))
+        # the identity mapping evaluates the formulas as printed
+        inp = CANDIDATE_MAPPINGS[0].inputs(p, beta)
+        ref = reconciled_det_optimal(p, beta, CANDIDATE_MAPPINGS[0]).best_value
         for branch in (Branch.PHI, Branch.PSI):
             _, val = grid_then_golden(
                 lambda x, b=branch: f_branch(inp, b, x), 0.0, math.pi, n=4096

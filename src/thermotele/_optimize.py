@@ -10,6 +10,10 @@ pair probability).  The maximum of such a ratio sits on a short, explicit
 list of angles, each the root of a quadratic form in (cos phi, sin phi),
 so both engines optimize by evaluating that list instead of searching.
 
+The choice between candidates (correction sets or branch families, and
+postselected outcome pairs) lives here too, so both engines share one
+selection rule and one way of labelling what they report.
+
 Everything stays in the (u, v, s) form: near phi = 0 or pi/2, where
 conclusive teleportation puts its sharpest maxima, the double-angle form
 a0 + a1 cos(2 phi) + a2 sin(2 phi) loses the small quantities to
@@ -19,7 +23,19 @@ cancellation between a0 and a1.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
+
+from .teleport import CorrectionLabel
+
+# a later candidate replaces the current best only when its efficiency is
+# higher by more than this: mirror copies of one optimum (a correction set
+# and its mirror, a branch and its mirror, one outcome pair and the other)
+# differ only by roundoff, so canonical order decides between them
+CANDIDATE_TIE_TOL = 1e-12
 
 
 class AngleOptimum(NamedTuple):
@@ -100,3 +116,61 @@ def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     value, phi, d = best
     phi %= math.pi
     return AngleOptimum(value, 0.0 if phi == math.pi else phi, d)
+
+
+class Branch(Enum):
+    PHI = "phi"
+    PSI = "psi"
+
+
+@dataclass(frozen=True)
+class OptimizationResult:
+    """Outcome of optimizing one protocol over the measurement angle.
+
+    ``outcome_pair`` is the postselected pair for the probabilistic
+    protocol and ``None`` for the deterministic one (all outcomes kept).
+    """
+
+    best_value: float
+    best_phi: float
+    best_branch: Branch
+    success_rate: float
+    outcome_pair: tuple | None = None
+
+
+# correction set -> (branch family, angle sign): the + set at phi is its
+# family at phi, the - set its family at -phi
+SET_FAMILY = {
+    CorrectionLabel.PHI_PLUS: (Branch.PHI, 1.0),
+    CorrectionLabel.PHI_MINUS: (Branch.PHI, -1.0),
+    CorrectionLabel.PSI_PLUS: (Branch.PSI, 1.0),
+    CorrectionLabel.PSI_MINUS: (Branch.PSI, -1.0),
+}
+
+
+def select(values):
+    """Index of the winning candidate.
+
+    ``values`` are the candidates' efficiencies in canonical order: sets
+    in ``CorrectionLabel`` order, or branches PHI then PSI, with pair
+    (1, 4) before (2, 3).  Each is a float, or an array with one entry per
+    point, and the index comes back in the same form.  A later candidate
+    wins only when it beats the current best by more than
+    ``CANDIDATE_TIE_TOL``.
+    """
+    best, top = 0, values[0]
+    for k, value in enumerate(values[1:], 1):
+        better = value > top + CANDIDATE_TIE_TOL
+        if isinstance(better, np.ndarray):
+            best, top = np.where(better, k, best), np.where(better, value, top)
+        elif better:
+            best, top = k, value
+    return best
+
+
+def labeled(family: Branch, sign: float, pair, value, phi, rate=1.0) -> OptimizationResult:
+    """The reported result of a candidate: its branch family at the
+    family's angle sign * phi, taken mod pi (``SET_FAMILY`` gives a set's
+    family and sign)."""
+    angle = (sign * phi) % math.pi
+    return OptimizationResult(value, 0.0 if angle == math.pi else angle, family, rate, pair)

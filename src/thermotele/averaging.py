@@ -107,9 +107,6 @@ class AveragedQuantities:
     def det_for(self, label: CorrectionLabel) -> float:
         return float(self.fbar_det[SET_ORDER.index(CorrectionLabel(label))])
 
-    def cond_for(self, j: int, label: CorrectionLabel) -> float:
-        return float(self.fbar_cond[j - 1, SET_ORDER.index(CorrectionLabel(label))])
-
 
 def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
     """Kets and pure density matrices for a batch of input coordinates."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import maximize_ratio
+from ._optimize import maximize_ratio, select
 from .averaging import HarmonicAverages, QuadratureGrid
 from .densmat import DensityMatrix
 from .spin_models import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
@@ -105,7 +105,7 @@ def product_opt_fidelity(a: BlochVector, b: BlochVector) -> float:
     phi and all four correction sets.  Never exceeds 2/3."""
     phi_best = (3.0 + a.az * b.az + abs(a.ax * b.ax - a.ay * b.ay)) / 6.0
     psi_best = (3.0 - a.az * b.az + abs(a.ax * b.ax + a.ay * b.ay)) / 6.0
-    return max(phi_best, psi_best)
+    return (phi_best, psi_best)[select([phi_best, psi_best])]
 
 
 def random_bloch_vector(rng: np.random.Generator) -> BlochVector:
@@ -130,7 +130,8 @@ def oracle_det_optimum(channel, grid: QuadratureGrid) -> float:
     """Deterministic optimum over phi and all correction sets, computed
     entirely through the quadrature oracle's angle coefficients."""
     det = HarmonicAverages(channel, grid).joint_coef.sum(axis=1)
-    return max(maximize_ratio(det[:, e]).value for e in range(4))
+    values = [maximize_ratio(det[:, e]).value for e in range(4)]
+    return values[select(values)]
 
 
 def verify_classical_bound(samples: int, seed: int, grid: QuadratureGrid | None = None):

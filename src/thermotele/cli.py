@@ -1,7 +1,9 @@
 """Command-line interface: point evaluations, sweeps, figures, validation.
 
 Every subcommand also accepts ``--config FILE`` with ``key = value`` lines
-(keys named like the long flags); explicit flags win over the file.
+(keys named like the long flags); explicit flags win over the file.  A
+value a subcommand needs may come from either, so it is checked only once
+the file has been read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ _PARAM_FLAGS = (
 
 
 def _add_model_args(parser):
-    parser.add_argument("--model", choices=MODELS, required=True)
+    parser.add_argument("--model", choices=MODELS, default=None)
     for flag, dest in _PARAM_FLAGS:
         parser.add_argument(flag, dest=dest, type=float, default=None)
     parser.add_argument("--kt", type=float, default=None, help="temperature kT (k=1)")
@@ -64,10 +66,10 @@ def build_parser():
     p_sweep = sub.add_parser("sweep", help="sweep one variable")
     _add_model_args(p_sweep)
     _add_common(p_sweep)
-    p_sweep.add_argument("--var", choices=SWEEP_VARIABLES, required=True)
-    p_sweep.add_argument("--from", dest="start", type=float, required=True)
-    p_sweep.add_argument("--to", dest="stop", type=float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--var", choices=SWEEP_VARIABLES, default=None)
+    p_sweep.add_argument("--from", dest="start", type=float, default=None)
+    p_sweep.add_argument("--to", dest="stop", type=float, default=None)
+    p_sweep.add_argument("--steps", type=int, default=None)
     p_sweep.add_argument("--out", type=Path, default=None, help="write CSV here")
 
     p_fig = sub.add_parser("figure", help="regenerate a figure dataset")
@@ -93,6 +95,11 @@ def build_parser():
     return parser, commands
 
 
+# destinations of the values each subcommand needs from the command line or
+# the config file
+_REQUIRED = {"point": ("model", "kt"), "sweep": ("model", "var", "start", "stop", "steps")}
+
+
 def _apply_config(args, actions):
     """Fill flag values from the config file wherever the flag kept its
     parser default (explicit flags therefore win).  Each value is parsed
@@ -112,12 +119,12 @@ def _apply_config(args, actions):
         if "=" not in line:
             raise ValueError(f"config line not of form key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_").replace("lambda", "lam")] = value
+        values[key.replace("-", "_")] = value
     for key, value in values.items():
         action = actions.get(key)
-        if action is None or not hasattr(args, key):
+        if action is None or not hasattr(args, action.dest):
             raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, key) != action.default:
+        if getattr(args, action.dest) != action.default:
             continue
         try:
             parsed = action.type(value) if action.type else value
@@ -127,7 +134,7 @@ def _apply_config(args, actions):
             raise ValueError(
                 f"config key {key!r}: {value!r} is not one of {', '.join(action.choices)}"
             )
-        setattr(args, key, parsed)
+        setattr(args, action.dest, parsed)
     return args
 
 
@@ -143,8 +150,6 @@ def _fixed_from_args(args) -> dict:
 
 
 def _cmd_point(args) -> int:
-    if args.kt is None:
-        raise SystemExit("point requires --kt")
     fixed = _fixed_from_args(args)
     record = evaluate_point(args.model, fixed, fixed["kt"], engine=args.engine)
     payload = {
@@ -221,7 +226,11 @@ def _cmd_critical(args) -> int:
 def main(argv=None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
-    actions = {action.dest: action for action in commands[args.command]._actions}
+    # config keys name a destination (lam) or a long flag (lambda)
+    actions = {}
+    for action in commands[args.command]._actions:
+        actions |= {f[2:]: action for f in action.option_strings if f.startswith("--")}
+        actions[action.dest] = action
     handler = {
         "point": _cmd_point,
         "sweep": _cmd_sweep,
@@ -230,7 +239,12 @@ def main(argv=None) -> int:
         "critical": _cmd_critical,
     }[args.command]
     try:
-        return handler(_apply_config(args, actions))
+        args = _apply_config(args, actions)
+        for dest in _REQUIRED.get(args.command, ()):
+            if getattr(args, dest) is None:
+                flag = actions[dest].option_strings[0]
+                raise ValueError(f"{args.command} needs {flag}, as a flag or in the config file")
+        return handler(args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

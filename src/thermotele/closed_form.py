@@ -23,15 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from . import _version
-from ._optimize import maximize_ratio
+from ._optimize import Branch, labeled, maximize_ratio, select
 from .averaging import DEFAULT_GRID, QuadratureGrid, average_all
 from .spin_models import DerivedParams, HeisenbergParams, elementwise, thermal_state
-from .teleport import CorrectionLabel
 
 # beta times a gap parameter below which sinh(beta x)/x switches to its
 # Taylor expansion
@@ -48,11 +46,6 @@ MIN_PAIR_PROBABILITY = 1e-7
 # are broken in favor of the larger success rate (conditional fidelities
 # can plateau exactly, e.g. through a product-state channel)
 SUCCESS_TIE_TOL = 1e-13
-
-
-class Branch(Enum):
-    PHI = "phi"
-    PSI = "psi"
 
 
 @dataclass(frozen=True)
@@ -266,23 +259,7 @@ def g_branch(inp: ClosedFormInputs, branch: Branch, phi):
     return 1.0 / 3.0 + (n0 + n1 * cos2 + n2 * sin2) / (3.0 * den)
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Outcome of optimizing one protocol over the measurement angle.
-
-    ``outcome_pair`` is the postselected pair for the probabilistic
-    protocol and ``None`` for the deterministic one (all outcomes kept).
-    """
-
-    best_value: float
-    best_phi: float
-    best_branch: Branch
-    success_rate: float
-    outcome_pair: tuple | None = None
-
-
-def _printed(branch: Branch) -> Branch:
-    return branch
+_BRANCHES = tuple(Branch)
 
 
 def _one_or_all(inp: ClosedFormInputs, results: list):
@@ -296,76 +273,6 @@ def _rows(*columns) -> list:
         return [tuple(map(float, columns))]
     shape = np.broadcast(*columns).shape
     return list(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)))
-
-
-def _det_optimum(inp: ClosedFormInputs, formula_branch) -> list:
-    """Best of the two branch optima for every point of the batch (the phi
-    branch unless the psi one is strictly better); ``formula_branch`` maps
-    each reported branch to the printed one that describes it."""
-    phi_value, phi_angle = _branch_det_opt(inp, formula_branch(Branch.PHI))
-    psi_value, psi_angle = _branch_det_opt(inp, formula_branch(Branch.PSI))
-    return [
-        OptimizationResult(b, bphi, Branch.PSI, 1.0, None)
-        if b > a
-        else OptimizationResult(a, aphi, Branch.PHI, 1.0, None)
-        for a, aphi, b, bphi in _rows(phi_value, phi_angle, psi_value, psi_angle)
-    ]
-
-
-def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> list:
-    """Exact maximum of g over phi and both branches, for every point of
-    the batch, one scalar optimizer call per point and branch.
-
-    Angles whose pair probability falls below MIN_PAIR_PROBABILITY are
-    excluded, and fidelities within SUCCESS_TIE_TOL of the top go to the
-    larger success rate.  Pair (2, 3) at phi has the efficiency of pair
-    (1, 4) at pi/2 - phi, so optimizing pair (1, 4) over all angles
-    covers both and the result reports pair (1, 4).
-    """
-    best = None
-    for branch in (Branch.PHI, Branch.PSI):
-        # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
-        # itself, with the tie window scaled to match
-        num, den, scale = _g_coefficients(inp, formula_branch(branch))
-        opts = [
-            (
-                maximize_ratio(
-                    row[:3], row[3:6], floor=row[6], tie_tol=3.0 * SUCCESS_TIE_TOL
-                ),
-                branch,
-            )
-            for row in _rows(
-                *_single_angle(num), *_single_angle(den), 2.0 * MIN_PAIR_PROBABILITY * scale
-            )
-        ]
-        best = opts if best is None else [
-            new if new[0].value > old[0].value else old for old, new in zip(best, opts)
-        ]
-    rates = np.ravel(2.0 * q_rate(inp, [opt.phi for opt, _ in best])).tolist()
-    return [
-        OptimizationResult(1.0 / 3.0 + opt.value / 3.0, opt.phi, branch, rate, (1, 4))
-        for (opt, branch), rate in zip(best, rates)
-    ]
-
-
-def f_det_optimal(inp: ClosedFormInputs):
-    """Best deterministic efficiency over both printed branches: one
-    result for a single point, a list for a batch.
-
-    The optimum always sits at phi = +/- pi/4 (the standard Bell basis);
-    only the sign, fixed by sigma_j and delta_j, varies.
-    """
-    return _one_or_all(inp, _det_optimum(inp, _printed))
-
-
-def prob_optimal(inp: ClosedFormInputs):
-    """Best postselected efficiency over both printed branches and phi:
-    one result for a single point, a list for a batch.
-
-    The returned success rate is that of the postselected outcome pair,
-    2 q(phi_opt).
-    """
-    return _one_or_all(inp, _prob_optimum(inp, _printed))
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +318,6 @@ CANDIDATE_MAPPINGS = (
     ConventionMapping(False, True),
     ConventionMapping(True, True),
 )
-
-# physical correction-set label -> (branch family, angle sign)
-_SET_BRANCH_SIGN = {
-    CorrectionLabel.PHI_PLUS: (Branch.PHI, 1.0),
-    CorrectionLabel.PHI_MINUS: (Branch.PHI, -1.0),
-    CorrectionLabel.PSI_PLUS: (Branch.PSI, 1.0),
-    CorrectionLabel.PSI_MINUS: (Branch.PSI, -1.0),
-}
-
 
 # the one analytic limit that cleanly separates the candidates: an
 # isotropic no-field channel whose ground state is the singlet; the
@@ -479,7 +377,7 @@ def _case_errors(cases, oracles, mappings) -> np.ndarray:
     (phi, -phi) and one ``g_branch`` call on the angles of the outcomes
     the skip rule keeps, flattened across cases.  Each mapping then reads
     the predictions of its jz sign and branch assignment.  A family's two
-    sets are its + and - angle signs (``_SET_BRANCH_SIGN``), so stacking
+    sets are its + and - angle signs (``_optimize.SET_FAMILY``), so stacking
     the families in ``Branch`` order gives the oracle's set columns.
     """
     params = [p for p, _, _ in cases]
@@ -631,22 +529,64 @@ def reconciled_pair_rate(
     return _one_or_all(inp, np.ravel(rate).tolist())
 
 
+def _best_branch(inp: ClosedFormInputs, pair, values, angles):
+    """The winning branch's result at every point of ``inp``.
+
+    ``values`` and ``angles`` hold each branch's efficiencies and angles
+    (a float or an array, in ``Branch`` order).  The success rate is that
+    of the postselected ``pair``, 2 q(phi), or 1 without a pair (all
+    outcomes kept).
+    """
+    values = [np.atleast_1d(v) for v in values]
+    k = select(values)
+    value = np.choose(k, values).tolist()
+    angle = np.choose(k, [np.atleast_1d(a) for a in angles])
+    rates = np.ravel(2.0 * q_rate(inp, angle)).tolist() if pair else [1.0] * len(angle)
+    return _one_or_all(inp, [
+        labeled(_BRANCHES[i], 1.0, pair, v, phi, rate)
+        for i, v, phi, rate in zip(k.tolist(), value, angle.tolist(), rates)
+    ])
+
+
 def reconciled_det_optimal(p, beta, mapping: ConventionMapping | None = None):
     """Deterministic optimum with physically labeled branches: one result
     for one HeisenbergParams, a list for a sequence of them (one beta
-    each)."""
+    each).  ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
+
+    Each branch's optimum sits at phi = +/- pi/4 (the standard Bell
+    basis); only the sign, fixed by sigma_j and delta_j, varies.
+    """
     mapping = mapping or default_mapping()
     inp = mapping.inputs(p, beta)
-    return _one_or_all(inp, _det_optimum(inp, mapping.formula_branch))
+    values, angles = zip(*(_branch_det_opt(inp, mapping.formula_branch(b)) for b in Branch))
+    return _best_branch(inp, None, values, angles)
 
 
 def reconciled_prob_optimal(p, beta, mapping: ConventionMapping | None = None):
     """Probabilistic optimum with physically labeled branches: one result
     for one HeisenbergParams, a list for a sequence of them (one beta
-    each).
+    each).  ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
 
-    success_rate is 2 q(phi_opt) for the postselected pair.
+    One scalar optimizer call per point and branch.  Angles whose pair
+    probability falls below MIN_PAIR_PROBABILITY are excluded, and
+    fidelities within SUCCESS_TIE_TOL of the top go to the larger success
+    rate.  Pair (2, 3) at phi has the efficiency of pair (1, 4) at
+    pi/2 - phi, so optimizing pair (1, 4) over all angles covers both; the
+    result reports pair (1, 4) and its success rate 2 q(phi_opt).
     """
     mapping = mapping or default_mapping()
     inp = mapping.inputs(p, beta)
-    return _one_or_all(inp, _prob_optimum(inp, mapping.formula_branch))
+    values, angles = [], []
+    for branch in Branch:
+        # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
+        # itself, with the tie window scaled to match
+        num, den, scale = _g_coefficients(inp, mapping.formula_branch(branch))
+        opts = [
+            maximize_ratio(row[:3], row[3:6], floor=row[6], tie_tol=3.0 * SUCCESS_TIE_TOL)
+            for row in _rows(
+                *_single_angle(num), *_single_angle(den), 2.0 * MIN_PAIR_PROBABILITY * scale
+            )
+        ]
+        values.append(1.0 / 3.0 + np.array([opt.value for opt in opts]) / 3.0)
+        angles.append([opt.phi for opt in opts])
+    return _best_branch(inp, (1, 4), values, angles)

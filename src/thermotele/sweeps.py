@@ -11,7 +11,6 @@ writes a JSON report.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -19,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import _version, closed_form
-from ._optimize import maximize_ratio
+from ._optimize import SET_FAMILY, labeled, maximize_ratio, select
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
     SUCCESS_TIE_TOL,
-    _SET_BRANCH_SIGN,
-    Branch,
     ConventionMapping,
     default_mapping,
     default_reconciliation,
@@ -49,9 +46,6 @@ CLASSICAL_LIMIT = 2.0 / 3.0
 MODELS = ("ising", "xx", "xy", "xxx", "xxz", "raw")
 SWEEP_VARIABLES = ("kt", "lambda", "bigj", "delta")
 ENGINES = ("oracle", "closed", "both")
-
-_SET_FOR_BRANCH = {Branch.PHI: "phi+", Branch.PSI: "psi+"}
-
 
 # ---------------------------------------------------------------------------
 # model parameter resolution
@@ -164,95 +158,71 @@ class SweepRecord:
 # oracle engine
 
 
-def _oracle_det(harmonics: HarmonicAverages):
-    det = harmonics.joint_coef.sum(axis=1)
-    best = None
-    for e, label in enumerate(CorrectionLabel):
-        opt = maximize_ratio(det[:, e])
-        if best is None or opt.value > best[0]:
-            best = (opt.value, opt.phi, label)
-    return best
-
-
-def _oracle_prob(harmonics: HarmonicAverages):
-    """Best postselected efficiency over sets, outcome pairs, and phi.
-
-    Same rules as the closed-form optimizer: angles below
-    MIN_PAIR_PROBABILITY are unreachable, and fidelity ties go to the
-    larger success rate.
-    """
-    best = None
-    for pair in ((1, 4), (2, 3)):
-        rows = [pair[0] - 1, pair[1] - 1]
-        den = harmonics.q_coef[:, rows].sum(axis=1)
-        num = harmonics.joint_coef[:, rows, :].sum(axis=1)
-        for e, label in enumerate(CorrectionLabel):
-            opt = maximize_ratio(
-                num[:, e], den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL
-            )
-            if best is None or opt.value > best[0] + 1e-12:
-                best = (opt.value, opt.phi, label, pair, opt.den)
-    return best
-
-
-def _branch_angle(label: CorrectionLabel, phi: float):
-    """Set ``label`` at angle ``phi`` as its family and the angle in that
-    family's parametrization, the one the closed engine reports: the + set
-    at phi is the family at phi, the - set at phi the family at -phi."""
-    branch, sign = _SET_BRANCH_SIGN[label]
-    angle = (sign * phi) % math.pi
-    return branch, 0.0 if angle == math.pi else angle
+# the oracle's set columns as (family, angle sign), in CorrectionLabel order
+_SET_FAMILIES = tuple(SET_FAMILY[label] for label in CorrectionLabel)
+_PAIRS = ((1, 4), (2, 3))
 
 
 def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
+    """Oracle optima of one point as (deterministic, probabilistic)
+    results: every set, and for the probabilistic protocol every outcome
+    pair, is optimized over phi, then the shared rule picks one.
+
+    The probabilistic candidates follow the closed-form optimizer's rules:
+    angles below MIN_PAIR_PROBABILITY are unreachable, and fidelity ties
+    go to the larger success rate.
+    """
     harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
-    dv, dphi, dlabel = _oracle_det(harmonics)
-    pv, pphi, plabel, pair, rate = _oracle_prob(harmonics)
-    dbranch, dphi = _branch_angle(dlabel, dphi)
-    pbranch, pphi = _branch_angle(plabel, pphi)
-    return {
-        "det_value": dv,
-        "det_phi": dphi,
-        "det_set": _SET_FOR_BRANCH[dbranch],
-        "prob_value": pv,
-        "prob_phi": pphi,
-        "prob_set": _SET_FOR_BRANCH[pbranch],
-        "prob_pair": f"{pair[0]}+{pair[1]}",
-        "success_rate": rate,
-    }
+    det = harmonics.joint_coef.sum(axis=1)
+    dets = [maximize_ratio(det[:, e]) for e in range(4)]
+    k = select([opt.value for opt in dets])
+    probs = []
+    for pair in _PAIRS:
+        rows = [pair[0] - 1, pair[1] - 1]
+        den = harmonics.q_coef[:, rows].sum(axis=1)
+        num = harmonics.joint_coef[:, rows, :].sum(axis=1)
+        probs += [
+            maximize_ratio(num[:, e], den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL)
+            for e in range(4)
+        ]
+    # candidate j is set j % 4 of pair j // 4
+    j = select([opt.value for opt in probs])
+    prob = probs[j]
+    return (
+        labeled(*_SET_FAMILIES[k], None, dets[k].value, dets[k].phi),
+        labeled(*_SET_FAMILIES[j % 4], _PAIRS[j // 4], prob.value, prob.phi, prob.den),
+    )
 
 
 def _closed_points(params, kts, mapping: ConventionMapping) -> list:
-    """Closed-engine optima of a batch of points, one record dict each;
-    every closed form runs once on the whole batch."""
+    """Closed-engine optima of a batch of points as (deterministic,
+    probabilistic) results; every closed form runs once on the batch."""
     betas = 1.0 / np.asarray(kts, dtype=float)
-    dets = reconciled_det_optimal(params, betas, mapping)
-    probs = reconciled_prob_optimal(params, betas, mapping)
-    return [
-        {
-            "det_value": det.best_value,
-            "det_phi": det.best_phi,
-            "det_set": _SET_FOR_BRANCH[det.best_branch],
-            "prob_value": prob.best_value,
-            "prob_phi": prob.best_phi,
-            "prob_set": _SET_FOR_BRANCH[prob.best_branch],
-            "prob_pair": f"{prob.outcome_pair[0]}+{prob.outcome_pair[1]}",
-            "success_rate": prob.success_rate,
-        }
-        for det, prob in zip(dets, probs)
-    ]
+    return list(zip(
+        reconciled_det_optimal(params, betas, mapping),
+        reconciled_prob_optimal(params, betas, mapping),
+    ))
 
 
-def _record(model, p, native, kt, engine, point) -> SweepRecord:
+def _record(model, p, native, kt, engine, det, prob) -> SweepRecord:
+    """The record of one point's two optima; a family is reported by its
+    + set."""
     return SweepRecord(
         model=model,
         params=p,
         native=native,
         kt=kt,
         engine=engine,
-        above_classical_det=point["det_value"] > CLASSICAL_LIMIT,
-        above_classical_prob=point["prob_value"] > CLASSICAL_LIMIT,
-        **point,
+        det_value=det.best_value,
+        det_phi=det.best_phi,
+        det_set=f"{det.best_branch.value}+",
+        prob_value=prob.best_value,
+        prob_phi=prob.best_phi,
+        prob_set=f"{prob.best_branch.value}+",
+        prob_pair="+".join(map(str, prob.outcome_pair)),
+        success_rate=prob.success_rate,
+        above_classical_det=det.best_value > CLASSICAL_LIMIT,
+        above_classical_prob=prob.best_value > CLASSICAL_LIMIT,
     )
 
 
@@ -260,7 +230,7 @@ def _closed_records(model, points, mapping) -> list:
     """Closed-engine records of (params, native, kt) points, in one pass."""
     closed = _closed_points([p for p, _, _ in points], [kt for _, _, kt in points], mapping)
     return [
-        _record(model, p, native, kt, "closed", point)
+        _record(model, p, native, kt, "closed", *point)
         for (p, native, kt), point in zip(points, closed)
     ]
 
@@ -288,12 +258,12 @@ def _checked_records(records, mapping) -> list:
             r,
             engine="both",
             engine_disagreement=max(
-                abs(r.det_value - c["det_value"]),
-                abs(r.prob_value - c["prob_value"]),
+                abs(r.det_value - det.best_value),
+                abs(r.prob_value - prob.best_value),
                 abs(r.success_rate - rate),
             ),
         )
-        for r, c, rate in zip(records, closed, rates)
+        for r, (det, prob), rate in zip(records, closed, rates)
     ]
 
 
@@ -333,7 +303,7 @@ def evaluate_point(
     p, native = _point_params(model, values)
     if engine == "closed":
         return _closed_records(model, [(p, native, kt)], mapping)[0]
-    record = _record(model, p, native, kt, "oracle", _oracle_point(p, kt, grid))
+    record = _record(model, p, native, kt, "oracle", *_oracle_point(p, kt, grid))
     return _checked_records([record], mapping)[0] if engine == "both" else record
 
 

@@ -4,7 +4,10 @@ before the closed engine became array-native, kept as test references.
 The code below is the earlier ``_optimize.py`` and the expression half of
 ``closed_form.py`` (plus ``DerivedParams``) unchanged, except that
 ``ClosedFormInputs.from_heisenberg`` builds the ``DerivedParams`` defined
-here.  Tests assert that the array code reproduces it bit for bit.
+here and that the choice between the two branch optima follows the shared
+candidate rule (``_optimize.select``: a later branch must be better by more
+than ``CANDIDATE_TIE_TOL`` on the efficiency scale).  Tests assert that the
+array code reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from thermotele._optimize import CANDIDATE_TIE_TOL
 from thermotele.closed_form import (
     DENOM_EPS,
     GAP_EPS,
@@ -330,7 +334,7 @@ def _det_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
     best = None
     for branch in (Branch.PHI, Branch.PSI):
         value, phi = _branch_det_opt(inp, formula_branch(branch))
-        if best is None or value > best.best_value:
+        if best is None or value > best.best_value + CANDIDATE_TIE_TOL:
             best = OptimizationResult(value, phi, branch, 1.0, None)
     return best
 
@@ -355,7 +359,9 @@ def _prob_optimum(inp: ClosedFormInputs, formula_branch) -> OptimizationResult:
             floor=2.0 * MIN_PAIR_PROBABILITY * scale,
             tie_tol=3.0 * SUCCESS_TIE_TOL,
         )
-        if best is None or opt.value > best[0].value:
+        if best is None or (
+            1.0 / 3.0 + opt.value / 3.0 > 1.0 / 3.0 + best[0].value / 3.0 + CANDIDATE_TIE_TOL
+        ):
             best = (opt, branch)
     opt, branch = best
     rate = 2.0 * float(q_rate(inp, opt.phi))

@@ -147,3 +147,50 @@ def test_bad_config_is_a_one_line_error(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("thermotele: error: ") and "config" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["point"], "model = xx\nlambda = 0.7\nkt = 0.1\n"),
+        (["sweep"], "model = xx\nlambda = 0.7\nvar = kt\nfrom = 0.1\nto = 1.0\nsteps = 3\n"),
+    ],
+)
+def test_config_alone_supplies_every_value(argv, text, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    if argv == ["point"]:
+        payload = json.loads(out)
+        assert (payload["model"], payload["kt"], payload["params"]["lam"]) == ("xx", 0.1, 0.7)
+    else:
+        assert len(out.splitlines()) == 3
+
+
+SWEEP = ["sweep", "--model", "xx", "--lambda", "0.7",
+         "--var", "kt", "--from", "0.1", "--to", "1.0", "--steps", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["point", "--lambda", "0.7", "--kt", "0.1"], "--model"),
+        (["point", "--model", "xx", "--lambda", "0.7"], "--kt"),
+        ([a for a in SWEEP if a not in ("--model", "xx")], "--model"),
+        ([a for a in SWEEP if a not in ("--var", "kt")], "--var"),
+        ([a for a in SWEEP if a not in ("--from", "0.1")], "--from"),
+        ([a for a in SWEEP if a not in ("--to", "1.0")], "--to"),
+        ([a for a in SWEEP if a not in ("--steps", "3")], "--steps"),
+    ],
+)
+def test_missing_value_is_a_one_line_error(argv, flag, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("engine = closed\n")
+    for extra in ([], ["--config", str(config)]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("thermotele: error: ") and flag in err
+        assert err.count("\n") == 1

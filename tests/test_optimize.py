@@ -14,11 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermotele._checks import golden_max
-from thermotele._optimize import maximize_ratio
+from thermotele._optimize import CANDIDATE_TIE_TOL, Branch, labeled, maximize_ratio, select
 from thermotele.closed_form import (
     MIN_PAIR_PROBABILITY,
     SUCCESS_TIE_TOL,
-    Branch,
     ClosedFormInputs,
     _g_coefficients,
     _single_angle,
@@ -169,3 +168,35 @@ def test_closed_branches_never_beaten_by_reference():
             opt = maximize_ratio(num, den, floor, 3 * SUCCESS_TIE_TOL)
             ref_value, _ = reference_max(num, den, floor, 3 * SUCCESS_TIE_TOL)
             assert opt.value >= ref_value - 1e-12
+
+
+def test_mirror_copies_keep_the_first_candidate():
+    # a set and its mirror reach one optimum up to roundoff
+    top = 0.7
+    assert select([top, top + 0.5 * CANDIDATE_TIE_TOL, top - 1e-16]) == 0
+    # each later candidate is held against the current best, not the first
+    steps = [top, top + 2 * CANDIDATE_TIE_TOL, top + 2.5 * CANDIDATE_TIE_TOL]
+    assert select(steps) == 1
+    columns = [np.array([top, top]), np.array([top + 0.5 * CANDIDATE_TIE_TOL, top])]
+    assert select(columns).tolist() == [0, 0]
+
+
+def test_a_later_candidate_better_by_more_than_the_tolerance_wins():
+    top = 0.7
+    assert select([top, top + 2 * CANDIDATE_TIE_TOL]) == 1
+    assert select([top, top - 0.1, top + 2 * CANDIDATE_TIE_TOL, top]) == 2
+    columns = [
+        np.array([top, top, top]),
+        np.array([top + 2 * CANDIDATE_TIE_TOL, top, top - 0.1]),
+        np.array([top, top + 0.1, top + 2 * CANDIDATE_TIE_TOL]),
+    ]
+    assert select(columns).tolist() == [1, 2, 2]
+
+
+def test_minus_sets_report_their_family_at_the_mirrored_angle():
+    res = labeled(Branch.PSI, -1.0, (2, 3), 0.9, 0.3, 0.25)
+    assert res.best_phi == math.pi - 0.3
+    assert (res.best_branch, res.outcome_pair, res.success_rate) == (Branch.PSI, (2, 3), 0.25)
+    # -phi rounds up to pi mod pi for tiny phi; it is reported as 0
+    assert labeled(Branch.PHI, -1.0, None, 0.9, 1e-17).best_phi == 0.0
+    assert labeled(Branch.PHI, 1.0, None, 0.9, math.pi / 4).best_phi == math.pi / 4

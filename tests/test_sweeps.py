@@ -132,6 +132,16 @@ class TestRunSweep:
                 compared += 1
         assert compared >= 40
 
+    def test_engines_pick_the_same_branch_on_a_tie(self):
+        # uncoupled qubits in a field: both branches reach the
+        # probabilistic optimum to 1e-13, and the two engines once reported
+        # psi+ at success rate 0.731 and phi+ at 0.269
+        values = {"ha": 0.5, "hb": -0.2}
+        closed = evaluate_point("raw", values, 1.0, engine="closed")
+        oracle = evaluate_point("raw", values, 1.0, engine="oracle")
+        assert (closed.prob_set, closed.prob_pair) == (oracle.prob_set, oracle.prob_pair)
+        assert abs(closed.success_rate - oracle.success_rate) <= 1e-6
+
     def test_raw_model(self):
         r = evaluate_point(
             "raw", {"jx": 1.0, "jy": -0.5, "jz": 0.3, "ha": 1.0, "hb": -0.2}, 0.5
@@ -205,6 +215,24 @@ class TestFigures:
             l.split(",")[5] for l in lines if l.split(",")[1] == "kt=0.1"
         }
         assert len(branches) > 1  # optimal branch switches along the sweep
+
+    def test_engines_report_the_same_labels(self, tmp_path):
+        for fig in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
+            reproduce_figure(fig, tmp_path / "closed", steps=6)
+            reproduce_figure(fig, tmp_path / "oracle", engine="oracle", steps=6)
+        compared = 0
+        for path in sorted((tmp_path / "closed").glob("*_*.csv")):
+            if path.stem.endswith("_success"):
+                continue
+            closed = [row.split(",") for row in path.read_text().splitlines()]
+            oracle = [row.split(",") for row in (tmp_path / "oracle" / path.name)
+                      .read_text().splitlines()]
+            # branch (and pair) columns: 5 and, for prob files, 7
+            labels = [5, 7] if path.stem.endswith("_prob") else [5]
+            for c, o in zip(closed[1:], oracle[1:]):
+                assert [c[k] for k in labels] == [o[k] for k in labels], (path.name, c[:4])
+                compared += 1
+        assert compared == 2 * 22 * 6
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
