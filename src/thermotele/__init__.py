@@ -18,13 +18,7 @@ from .averaging import (
     average_all,
     average_all_montecarlo,
 )
-from .classical_limit import (
-    BlochVector,
-    SeparableChannel,
-    product_avg_fidelity,
-    product_opt_fidelity,
-    verify_classical_bound,
-)
+from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
     Branch,
     ClosedFormInputs,

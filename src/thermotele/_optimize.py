@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .spin_models import elementwise
 from .teleport import CorrectionLabel
 
 # a later candidate replaces the current best only when its efficiency is
@@ -59,13 +60,14 @@ def _roots(p: float, q: float, s: float) -> list:
     return [math.atan2(h, s), math.atan2(p, h)]
 
 
-def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
+def maximize_ratio(num, den, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     """Maximize N(phi)/D(phi) over the angles where D >= ``floor``.
 
-    ``num`` and ``den`` are (u, v, s) triples as in the module docstring;
-    ``den=None`` means D = 1.  Of the angles whose value lies within
-    ``tie_tol`` of the maximum, the one with the largest D wins, so flat
-    or near-flat maxima resolve to the best success rate.
+    ``num`` and ``den`` are (u, v, s) triples as in the module docstring.
+    Of the angles whose value lies within ``tie_tol`` of the maximum, the
+    one with the largest D wins, so flat or near-flat maxima resolve to the
+    best success rate.  A deterministic efficiency (D = 1) goes to
+    :func:`maximize_form` instead.
 
     The candidates cover every angle either rule can pick: phi = 0, the
     maximum of D, the stationary points of N/D, the mask edges D = floor
@@ -74,12 +76,8 @@ def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     """
     nu, nv, ns = num
     nu, nv, ns = float(nu), float(nv), float(ns)
-    if den is None:
-        du = dv = 1.0
-        ds = 0.0
-    else:
-        du, dv, ds = den
-        du, dv, ds = float(du), float(dv), float(ds)
+    du, dv, ds = den
+    du, dv, ds = float(du), float(dv), float(ds)
     # a constant D is kept exact, so ties keep the candidate order below
     # instead of going to whichever angle rounds cos**2 + sin**2 up
     constant = du == dv and ds == 0.0
@@ -116,6 +114,41 @@ def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     value, phi, d = best
     phi %= math.pi
     return AngleOptimum(value, 0.0 if phi == math.pi else phi, d)
+
+
+_atan2 = elementwise(math.atan2, 2)
+
+
+def maximize_form(num):
+    """Maximize N(phi) = u cos**2 + v sin**2 + s sin cos, column by column.
+
+    ``num`` is an array (3, ...) whose first axis holds (u, v, s), so a
+    (3, k) table optimizes k forms at once.  Returns the maxima and their
+    angles in [0, pi), each of shape ``num.shape[1:]``.
+
+    The candidates are phi = 0 and the stationary points, the roots of
+    N' = 0, which :func:`maximize_ratio` would check for D = 1; the first
+    maximum wins.  ``np.sin``, ``np.cos`` and ``np.sqrt`` round like libm,
+    ``np.arctan2`` does not, so atan2 comes from libm entry by entry and a
+    column gets the bits it would get alone.
+    """
+    nu, nv, ns = np.asarray(num, dtype=float)
+    # the roots of N' = 0, p cos**2 + q sin cos + r sin**2 = 0, as _roots
+    # finds them; r = -p, so the discriminant is never negative
+    p, q, r = 0.5 * ns, nv - nu, -0.5 * ns
+    h = -0.5 * (q + np.copysign(np.sqrt(q * q - 4.0 * p * r), q))
+    # h = 0 leaves one root, on an axis (for constant N, at phi = 0)
+    on_axis = h == 0.0
+    first = np.where(on_axis, (p != 0.0) * (0.5 * math.pi), _atan2(h, r))
+    # phi = 0, then the roots in turn: the first maximum wins
+    best, phi = nu, 0.0
+    for valid, angle in ((True, first), (~on_axis, _atan2(p, h))):
+        c, s = np.cos(angle), np.sin(angle)
+        value = nu * c * c + nv * s * s + ns * s * c
+        better = valid & (value > best)
+        best, phi = np.where(better, value, best), np.where(better, angle, phi)
+    phi = np.mod(phi, math.pi)
+    return best, np.where(phi == math.pi, 0.0, phi)
 
 
 class Branch(Enum):

@@ -257,14 +257,23 @@ class HarmonicAverages:
     product of the grid's cached linear map with its 16 matrix entries.
     Evaluating at any angle then costs a few flops, and the angle
     optimizers work on the tables directly.
+
+    A stack of N channels (N, 4, 4) gives tables (N, 3, 4) and
+    (N, 3, 4, 4), each channel's with the bits it has alone; the
+    evaluation methods below take one channel.
     """
 
     def __init__(self, channel, grid: QuadratureGrid = DEFAULT_GRID):
         self.grid = grid
         q_map, joint_map = _oracle_maps(grid)
-        rho = channel_matrix(channel).reshape(16)
-        self.q_coef = (q_map @ rho).real
-        self.joint_coef = (joint_map @ rho).real
+        rho = channel_matrix(channel)
+        stack = rho.shape[:-2]
+        # a matrix-vector product per channel: a stack goes through the same
+        # product as a lone channel and keeps its bits, which a gemm over the
+        # stack would not
+        rho = rho.reshape(stack + (16, 1))
+        self.q_coef = (q_map.reshape(12, 16) @ rho).real.reshape(stack + (3, 4))
+        self.joint_coef = (joint_map.reshape(48, 16) @ rho).real.reshape(stack + (3, 4, 4))
 
     @staticmethod
     def _harmonics(phi):

@@ -8,9 +8,16 @@ deterministic efficiency has a tiny closed form in the two Bloch vectors,
     psi sets:  [3 - az bz +/- (ax bx + ay by) sin(2 phi)] / 6
 
 and its optimum over phi and over all four correction sets never exceeds
-2/3.  ``verify_classical_bound`` checks the ceiling through the quadrature
-oracle itself (exact optimum over phi and all sets), so it validates these
-closed forms rather than assuming them.
+2/3 (Massar & Popescu, PRL 74, 1259 (1995)).  ``verify_classical_bound``
+checks the ceiling through the quadrature oracle itself (exact optimum
+over phi and all sets), so it validates these closed forms rather than
+assuming them.
+
+The oracle runs on whole stacks of channels: random channels are drawn
+into arrays of weights and Bloch vectors, and their densities are built,
+validated, contracted with the oracle's linear map and optimized over phi
+together.  Every step works entry by entry or channel by channel, so each
+channel gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -20,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import maximize_ratio, select
+from ._optimize import maximize_form, select
 from .averaging import HarmonicAverages, QuadratureGrid
 from .densmat import DensityMatrix
 from .spin_models import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
-from .teleport import CorrectionLabel
 
 BLOCH_NORM_TOL = 1e-12
 
@@ -41,20 +47,6 @@ class BlochVector:
         norm_sq = self.ax**2 + self.ay**2 + self.az**2
         if norm_sq > 1.0 + BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector norm exceeds 1 ({math.sqrt(norm_sq)})")
-
-    def density(self) -> np.ndarray:
-        return 0.5 * (
-            IDENTITY2 + self.ax * PAULI_X + self.ay * PAULI_Y + self.az * PAULI_Z
-        )
-
-    @classmethod
-    def from_density(cls, rho: np.ndarray) -> "BlochVector":
-        rho = np.asarray(rho, dtype=complex)
-        return cls(
-            ax=float(np.trace(PAULI_X @ rho).real),
-            ay=float(np.trace(PAULI_Y @ rho).real),
-            az=float(np.trace(PAULI_Z @ rho).real),
-        )
 
 
 @dataclass(frozen=True)
@@ -73,84 +65,105 @@ class SeparableChannel:
             raise ValueError("weights must be non-negative")
 
     def density(self) -> DensityMatrix:
-        rho = np.zeros((4, 4), dtype=complex)
-        for w, a, b in self.terms:
-            # the Kronecker product a (x) b as a broadcast outer product
-            x, y = a.density(), b.density()
-            rho += w * (x[:, None, :, None] * y[None, :, None, :]).reshape(4, 4)
-        return DensityMatrix(rho)
+        weights = np.array([w for w, _, _ in self.terms])
+        a = np.array([(x.ax, x.ay, x.az) for _, x, _ in self.terms])
+        b = np.array([(y.ax, y.ay, y.az) for _, _, y in self.terms])
+        return DensityMatrix(_mixtures(weights, a, b))
 
 
-def product_avg_fidelity(
-    a: BlochVector, b: BlochVector, label: CorrectionLabel, phi: float
-) -> float:
-    """Averaged deterministic efficiency of a product channel a (x) b
-    for one correction set at basis angle ``phi``."""
-    s = math.sin(2.0 * phi)
-    transverse_minus = a.ax * b.ax - a.ay * b.ay
-    transverse_plus = a.ax * b.ax + a.ay * b.ay
-    longitudinal = a.az * b.az
-    label = CorrectionLabel(label)
-    if label is CorrectionLabel.PHI_PLUS:
-        return (3.0 + longitudinal + transverse_minus * s) / 6.0
-    if label is CorrectionLabel.PHI_MINUS:
-        return (3.0 + longitudinal - transverse_minus * s) / 6.0
-    if label is CorrectionLabel.PSI_PLUS:
-        return (3.0 - longitudinal + transverse_plus * s) / 6.0
-    return (3.0 - longitudinal - transverse_plus * s) / 6.0
+def _bloch_densities(v: np.ndarray) -> np.ndarray:
+    """The states 0.5 (1 + v . sigma) of Bloch vectors ``v`` (..., 3), as
+    (..., 2, 2) arrays."""
+    ax, ay, az = (v[..., k, None, None] for k in range(3))
+    return 0.5 * (IDENTITY2 + ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z)
 
 
-def product_opt_fidelity(a: BlochVector, b: BlochVector) -> float:
-    """Best averaged deterministic efficiency of a product channel over
-    phi and all four correction sets.  Never exceeds 2/3."""
-    phi_best = (3.0 + a.az * b.az + abs(a.ax * b.ax - a.ay * b.ay)) / 6.0
-    psi_best = (3.0 - a.az * b.az + abs(a.ax * b.ax + a.ay * b.ay)) / 6.0
-    return (phi_best, psi_best)[select([phi_best, psi_best])]
+def _mixtures(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Densities sum_k weights[..., k] a_k (x) b_k of the product terms
+    with Bloch vectors ``a``, ``b`` (..., terms, 3), as (..., 4, 4) arrays;
+    the terms are added in order, one at a time."""
+    rho = np.zeros(weights.shape[:-1] + (4, 4), dtype=complex)
+    for k in range(weights.shape[-1]):
+        x, y = _bloch_densities(a[..., k, :]), _bloch_densities(b[..., k, :])
+        # the Kronecker product x (x) y as a broadcast outer product
+        kron = (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(rho.shape)
+        rho += weights[..., k, None, None] * kron
+    return rho
 
 
-def random_bloch_vector(rng: np.random.Generator) -> BlochVector:
+# a random separable channel mixes 1 to MAX_TERMS product terms
+MAX_TERMS = 4
+
+
+def _ball_point(rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the solid unit ball, by rejection."""
     while True:
         v = rng.uniform(-1.0, 1.0, 3)
         if v @ v <= 1.0:
-            return BlochVector(*v)
+            return v
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+    """Draw one random separable channel into zeroed rows ``weights``
+    (MAX_TERMS,) and ``a``, ``b`` (MAX_TERMS, 3) and return its number of
+    terms; the unused terms keep weight 0.
+
+    This is the one definition of the random stream: the term count, the
+    Dirichlet weights, then both Bloch vectors of each term in turn.
+    """
+    n = int(rng.integers(1, MAX_TERMS + 1))
+    weights[:n] = rng.dirichlet(np.ones(n))
+    for k in range(n):
+        a[k] = _ball_point(rng)
+        b[k] = _ball_point(rng)
+    return n
 
 
 def random_separable_channel(rng: np.random.Generator) -> SeparableChannel:
-    n = int(rng.integers(1, 5))
-    weights = rng.dirichlet(np.ones(n))
-    terms = tuple(
-        (float(w), random_bloch_vector(rng), random_bloch_vector(rng))
-        for w in weights
-    )
-    return SeparableChannel(terms)
+    weights, a, b = np.zeros(MAX_TERMS), np.zeros((MAX_TERMS, 3)), np.zeros((MAX_TERMS, 3))
+    n = _draw(rng, weights, a, b)
+    return SeparableChannel(tuple(
+        (float(weights[k]), BlochVector(*a[k]), BlochVector(*b[k])) for k in range(n)
+    ))
 
 
-def oracle_det_optimum(channel, grid: QuadratureGrid) -> float:
+def oracle_det_optimum(channel, grid: QuadratureGrid):
     """Deterministic optimum over phi and all correction sets, computed
-    entirely through the quadrature oracle's angle coefficients."""
-    det = HarmonicAverages(channel, grid).joint_coef.sum(axis=1)
-    values = [maximize_ratio(det[:, e]).value for e in range(4)]
-    return values[select(values)]
+    entirely through the quadrature oracle's angle coefficients.
+
+    ``channel`` is one channel, which gives a float, or a stack (N, 4, 4),
+    which gives an array (N,) of the optima each channel has alone.
+    """
+    det = HarmonicAverages(channel, grid).joint_coef.sum(axis=-2)
+    values, _ = maximize_form(np.moveaxis(det, -2, 0))  # (..., set)
+    sets = [values[..., e] for e in range(4)]
+    best = np.choose(select(sets), sets)
+    return best if best.ndim else float(best)
+
+
+def _random_mixtures(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Densities (count, 4, 4) of ``count`` random separable channels,
+    drawn as ``random_separable_channel`` draws them, one after another."""
+    weights = np.zeros((count, MAX_TERMS))
+    a, b = np.zeros((2, count, MAX_TERMS, 3))
+    for i in range(count):
+        _draw(rng, weights[i], a[i], b[i])
+    return _mixtures(weights, a, b)
 
 
 def verify_classical_bound(samples: int, seed: int, grid: QuadratureGrid | None = None):
-    """Draw random separable channels and push each through the oracle's
+    """Draw random separable channels and push them through the oracle's
     deterministic optimizer; return the largest efficiency seen.
 
     The saturating product case (both Bloch vectors at the +z pole) is
     always included, so the returned maximum is at least 2/3 up to
-    quadrature roundoff.
+    quadrature roundoff.  The random channels are drawn first, then
+    built, validated and optimized as one stack.
     """
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     grid = grid or QuadratureGrid(16, 16)
-    rng = np.random.default_rng(seed)
     pole = BlochVector(0.0, 0.0, 1.0)
-    best = oracle_det_optimum(
-        SeparableChannel(((1.0, pole, pole),)).density(), grid
-    )
-    for _ in range(samples):
-        channel = random_separable_channel(rng).density()
-        best = max(best, oracle_det_optimum(channel, grid))
-    return best
+    saturating = oracle_det_optimum(SeparableChannel(((1.0, pole, pole),)).density(), grid)
+    stack = _random_mixtures(np.random.default_rng(seed), samples)
+    return max(saturating, float(np.max(oracle_det_optimum(stack, grid))))

@@ -42,6 +42,38 @@ def _as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
+def _raise_first(bad: np.ndarray, template: str, values: np.ndarray) -> None:
+    """Raise ``ValueError(template.format(value))`` for the first True
+    entry of ``bad``, naming its index when ``bad`` covers a stack."""
+    if bad.any():
+        k = int(bad.argmax())
+        where = f"channel {k}: " if bad.ndim else ""
+        raise ValueError(where + template.format(values.flat[k].item()))
+
+
+def _check_states(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``m``, one matrix (d, d) or a stack
+    (N, d, d), is Hermitian, unit-trace and positive semidefinite within
+    the module tolerances.  Each check runs on the whole stack, in that
+    order, and names the first matrix that fails it.
+
+    The Hermitian part is formed from the real and imaginary parts, so no
+    conjugate copy of the stack is made.
+    """
+    re, im = m.real, m.imag
+    re_t, im_t = re.swapaxes(-1, -2), im.swapaxes(-1, -2)
+    defect = np.hypot(re - re_t, im + im_t).max(axis=(-2, -1))
+    _raise_first(defect > HERMITICITY_TOL, "density matrix not Hermitian (defect {:.3e})", defect)
+    tr = m.trace(axis1=-2, axis2=-1)
+    _raise_first(abs(tr - 1.0) > TRACE_TOL, "density matrix trace {} differs from 1", tr)
+    hermitian = np.empty_like(m)
+    np.add(re, re_t, out=hermitian.real)
+    np.subtract(im, im_t, out=hermitian.imag)
+    hermitian *= 0.5
+    lo = np.linalg.eigvalsh(hermitian).min(axis=-1)
+    _raise_first(lo < -PSD_TOL, "density matrix has negative eigenvalue {:.3e}", lo)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
@@ -56,15 +88,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = cmatrix(self.mat)
         object.__setattr__(self, "mat", m)
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (defect {defect:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+        _check_states(m)
 
     @property
     def dim(self) -> int:
@@ -84,17 +108,24 @@ class DensityMatrix:
 
 
 def channel_matrix(channel) -> np.ndarray:
-    """The 4x4 matrix of a two-qubit channel state.
+    """The 4x4 matrix of a two-qubit channel state, or the (N, 4, 4) stack
+    of N such matrices.
 
     A ``DensityMatrix`` passes through as it is; any other input is
-    validated as one first, so a non-Hermitian, non-unit-trace or
-    non-PSD array raises ``ValueError``.
+    validated first, so a non-Hermitian, non-unit-trace or non-PSD array
+    raises ``ValueError``, which for a stack names the first bad channel.
     """
-    if not isinstance(channel, DensityMatrix):
-        channel = DensityMatrix(channel)
-    if channel.dim != 4:
+    if isinstance(channel, DensityMatrix):
+        m = channel.mat
+    else:
+        m = np.asarray(channel, dtype=complex)
+        if m.ndim != 3:
+            m = DensityMatrix(m).mat
+    if m.shape[-2:] != (4, 4):
         raise ValueError("channel must be a 4x4 density matrix")
-    return channel.mat
+    if m.ndim == 3:
+        _check_states(m)
+    return m
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _version, closed_form
-from ._optimize import SET_FAMILY, labeled, maximize_ratio, select
+from ._optimize import SET_FAMILY, labeled, maximize_form, maximize_ratio, select
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
@@ -173,9 +173,10 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     go to the larger success rate.
     """
     harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
-    det = harmonics.joint_coef.sum(axis=1)
-    dets = [maximize_ratio(det[:, e]) for e in range(4)]
-    k = select([opt.value for opt in dets])
+    # the sets' deterministic optima, one column per set
+    det_values, det_phis = maximize_form(harmonics.joint_coef.sum(axis=1))
+    det_values, det_phis = det_values.tolist(), det_phis.tolist()
+    k = select(det_values)
     probs = []
     for pair in _PAIRS:
         rows = [pair[0] - 1, pair[1] - 1]
@@ -189,7 +190,7 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     j = select([opt.value for opt in probs])
     prob = probs[j]
     return (
-        labeled(*_SET_FAMILIES[k], None, dets[k].value, dets[k].phi),
+        labeled(*_SET_FAMILIES[k], None, det_values[k], det_phis[k]),
         labeled(*_SET_FAMILIES[j % 4], _PAIRS[j // 4], prob.value, prob.phi, prob.den),
     )
 

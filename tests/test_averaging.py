@@ -10,6 +10,7 @@ from thermotele.averaging import (
     average_all,
     average_all_montecarlo,
 )
+from thermotele.classical_limit import random_separable_channel
 from thermotele.densmat import DensityMatrix, PureQubit
 from thermotele.spin_models import HeisenbergParams, thermal_state
 from thermotele.teleport import CorrectionLabel, bell_basis, correction_set, run_outcome
@@ -194,6 +195,20 @@ class TestHarmonicAverages:
                 assert np.max(np.abs(a.qbar - b.qbar)) < 1e-13
                 assert np.max(np.abs(a.fbar_det - b.fbar_det)) < 1e-13
                 assert np.nanmax(np.abs(a.fbar_cond - b.fbar_cond)) < 1e-12
+
+    def test_stacked_tables_equal_one_at_a_time(self):
+        # the stack goes through the same matrix-vector product per channel
+        rng = np.random.default_rng(11)
+        channels = [random_thermal(rng).mat for _ in range(100)]
+        channels += [random_separable_channel(rng).density().mat for _ in range(100)]
+        for grid in (QuadratureGrid(16, 16), QuadratureGrid()):
+            stacked = HarmonicAverages(np.array(channels), grid)
+            assert stacked.q_coef.shape == (200, 3, 4)
+            assert stacked.joint_coef.shape == (200, 3, 4, 4)
+            for k, channel in enumerate(channels):
+                alone = HarmonicAverages(channel, grid)
+                assert np.array_equal(stacked.q_coef[k], alone.q_coef)
+                assert np.array_equal(stacked.joint_coef[k], alone.joint_coef)
 
     def test_vectorized_over_phi(self):
         rng = np.random.default_rng(7)

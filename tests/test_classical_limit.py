@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import references as ref
+from references import product_avg_fidelity, product_opt_fidelity, random_bloch_vector
 
 from thermotele.averaging import QuadratureGrid, average_all
 from thermotele.classical_limit import (
     BlochVector,
     SeparableChannel,
+    _random_mixtures,
     oracle_det_optimum,
-    product_avg_fidelity,
-    product_opt_fidelity,
-    random_bloch_vector,
     random_separable_channel,
     verify_classical_bound,
 )
@@ -26,7 +26,7 @@ class TestBlochVector:
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = random_bloch_vector(rng)
-            back = BlochVector.from_density(v.density())
+            back = ref.bloch_from_density(ref.bloch_density(v))
             assert abs(back.ax - v.ax) < 1e-13
             assert abs(back.ay - v.ay) < 1e-13
             assert abs(back.az - v.az) < 1e-13
@@ -34,7 +34,7 @@ class TestBlochVector:
     def test_density_is_valid_state(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            DensityMatrix(random_bloch_vector(rng).density())
+            DensityMatrix(ref.bloch_density(random_bloch_vector(rng)))
 
     def test_rejects_long_vectors(self):
         with pytest.raises(ValueError):
@@ -54,8 +54,18 @@ class TestSeparableChannel:
             channel = random_separable_channel(rng)
             rho = np.zeros((4, 4), dtype=complex)
             for w, a, b in channel.terms:
-                rho += w * np.kron(a.density(), b.density())
+                rho += w * np.kron(ref.bloch_density(a), ref.bloch_density(b))
             assert np.array_equal(channel.density().mat, rho)
+
+    def test_batched_draw_keeps_the_stream(self):
+        # one draw for the stack and for random_separable_channel, and the
+        # densities the channel-by-channel code built
+        stack = _random_mixtures(np.random.default_rng(22), 300)
+        rng, old = np.random.default_rng(22), np.random.default_rng(22)
+        for rho in stack:
+            assert np.array_equal(rho, random_separable_channel(rng).density().mat)
+            earlier = ref.separable_density(ref.random_separable_channel(old))
+            assert np.array_equal(rho, earlier.mat)
 
     def test_rejects_bad_weights(self):
         pole = BlochVector(0, 0, 1)
@@ -121,6 +131,17 @@ class TestClassicalBound:
         best = verify_classical_bound(2000, seed=42)
         assert best <= 2.0 / 3.0 + 1e-9
         assert best >= 2.0 / 3.0 - 1e-10  # saturating case included
+
+    def test_stack_equals_the_channel_by_channel_loop(self):
+        pole = BlochVector(0, 0, 1)
+        stack = np.concatenate([
+            SeparableChannel(((1.0, pole, pole),)).density().mat[None],
+            _random_mixtures(np.random.default_rng(23), 1000),
+        ])
+        optima = oracle_det_optimum(stack, GRID16)
+        expected = ref.classical_optima(1000, 23, GRID16)
+        assert optima.tolist() == expected
+        assert verify_classical_bound(1000, 23, GRID16) == max(expected)
 
     def test_entangled_control_discriminates(self):
         singlet = DensityMatrix.from_pure(SINGLET)

@@ -6,6 +6,7 @@ import pytest
 from thermotele.densmat import (
     DensityMatrix,
     PureQubit,
+    channel_matrix,
     gibbs_density,
     hermitian_eigen,
     kron,
@@ -169,6 +170,32 @@ class TestDensityMatrix:
     def test_from_pure(self):
         dm = DensityMatrix.from_pure([1 / math.sqrt(2), 1j / math.sqrt(2)])
         assert dm.dim == 2
+
+
+class TestChannelStack:
+    def test_accepts_valid_stack(self):
+        stack = np.array([np.eye(4) / 4, np.diag([1.0, 0, 0, 0])], dtype=complex)
+        assert np.array_equal(channel_matrix(stack), stack)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.eye(4) / 4 + np.diag([1e-6, 0.0, 0.0], 1), "not Hermitian"),
+            (np.eye(4) / 2, "trace"),
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+        ],
+    )
+    def test_names_the_bad_channel(self, bad, match):
+        stack = np.array([np.eye(4) / 4] * 5, dtype=complex)
+        stack[3] = bad
+        with pytest.raises(ValueError, match=f"^channel 3: density matrix.*{match}"):
+            channel_matrix(stack)
+        with pytest.raises(ValueError, match=match):
+            channel_matrix(bad)
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError, match="4x4"):
+            channel_matrix(np.array([np.eye(2) / 2] * 3, dtype=complex))
 
 
 class TestPureQubit:

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermotele._checks import golden_max
-from thermotele._optimize import CANDIDATE_TIE_TOL, Branch, labeled, maximize_ratio, select
+from thermotele._optimize import (
+    CANDIDATE_TIE_TOL,
+    Branch,
+    labeled,
+    maximize_form,
+    maximize_ratio,
+    select,
+)
 from thermotele.closed_form import (
     MIN_PAIR_PROBABILITY,
     SUCCESS_TIE_TOL,
@@ -115,17 +122,34 @@ def test_equals_the_scalar_reference(problem):
     assert maximize_ratio(num, den, floor, tie_tol) == ref.maximize_ratio(
         num, den, floor, tie_tol
     )
-    assert maximize_ratio(num) == ref.maximize_ratio(num)
+
+
+# the problems' numerators, plus forms with s = +-0, whose stationary
+# points sit on the axes
+numerators = st.one_of(
+    problems().map(lambda problem: problem[0]),
+    st.tuples(st.sampled_from([0.0, -0.0]), unit, st.sampled_from([0.0, -0.0])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(numerators, min_size=1, max_size=12))
+def test_columns_equal_the_scalar_reference(nums):
+    # D = 1: each column of the column-wise optimizer against the earlier
+    # optimizer's den=None path, value and angle, bit for bit
+    values, phis = maximize_form(np.array(nums).T)
+    for num, value, phi in zip(nums, values, phis):
+        opt = ref.maximize_ratio(num)
+        assert (value, phi) == (opt.value, opt.phi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(unit, st.floats(0.1, 2.0), st.floats(0.0, math.pi))
 def test_deterministic_optimum_is_the_amplitude(top, depth, phi0):
-    opt = maximize_ratio(peaked(top, depth, phi0))
-    assert abs(opt.value - top) <= 1e-14
-    assert opt.den == 1.0
+    value, phi = maximize_form(peaked(top, depth, phi0))
+    assert abs(value - top) <= 1e-14
     # the peak is sharp, so the angle comes back to rounding
-    gap = abs(opt.phi - phi0) % math.pi
+    gap = abs(phi - phi0) % math.pi
     assert min(gap, math.pi - gap) <= 1e-7
 
 
