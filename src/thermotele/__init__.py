@@ -16,7 +16,6 @@ from .averaging import (
     HarmonicAverages,
     QuadratureGrid,
     average_all,
-    average_all_montecarlo,
 )
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
@@ -33,14 +32,7 @@ from .closed_form import (
     reconciled_det_optimal,
     reconciled_prob_optimal,
 )
-from .densmat import (
-    DensityMatrix,
-    PureQubit,
-    gibbs_density,
-    hermitian_eigen,
-    kron,
-    partial_trace_first_two,
-)
+from .densmat import DensityMatrix, PureQubit, partial_trace_first_two
 from .spin_models import (
     DerivedParams,
     HeisenbergParams,
@@ -48,7 +40,6 @@ from .spin_models import (
     XXZFieldParams,
     XYFieldParams,
     block_spectrum,
-    build_hamiltonian,
     critical_point,
     from_xxz_field,
     from_xy_field,

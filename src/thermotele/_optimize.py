@@ -119,6 +119,109 @@ def maximize_ratio(num, den, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
 _atan2 = elementwise(math.atan2, 2)
 
 
+def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
+    """:func:`maximize_ratio` column by column.
+
+    ``num`` and ``den`` are arrays (3, ...) whose first axis holds (u, v,
+    s), and ``floor`` broadcasts against the columns.  Returns the maxima,
+    their angles in [0, pi) and D there, each of the columns' shape, with
+    the bits each column gets from :func:`maximize_ratio` alone: the same
+    candidates in the same order, as eight slots with validity masks, and
+    every expression in the scalar operation order.  atan2 comes from libm
+    entry by entry, as in :func:`maximize_form`, where a slot holds an
+    angle.
+
+    Raises ``ValueError`` naming the first column where no angle has D
+    above the floor.
+    """
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    shape = num.shape[1:]
+    # the columns flattened, so one index per slot and column picks
+    num, den = num.reshape(3, -1), den.reshape(3, -1)
+    (nu, nv, ns), (du, dv, ds) = num, den
+    floor = np.broadcast_to(floor, shape).ravel()
+    columns = np.arange(nu.size)
+    constant = (du == dv) & (ds == 0.0)
+    # slots: phi = 0, argmax D and the two roots of (N/D)' = 0, all masked
+    # below the floor; the two mask edges D = floor, never masked and
+    # absent for an infinite floor; the two tie-window edges, masked
+    slots = (8, nu.size)
+    phi, d, value = np.zeros(slots), np.empty(slots), np.empty(slots)
+    valid = np.ones(slots, dtype=bool)
+
+    def angle(k, y, x):
+        take = valid[k]
+        phi[k, take] = _atan2(y[take], x[take])
+
+    def roots(k, p, q, s):
+        # quadratics p cos**2 + q sin cos + s sin**2 = 0 stacked along the
+        # first axis, two slots each from slot k on, as _roots finds them
+        disc = q * q - 4.0 * p * s
+        h = -0.5 * (q + np.copysign(np.sqrt(disc), q))
+        some = ~((disc < 0.0) | ((p == 0.0) & (q == 0.0) & (s == 0.0)))
+        one = h == 0.0
+        for j in range(len(p)):
+            first = k + 2 * j
+            valid[first], valid[first + 1] = some[j], some[j] & ~one[j]
+            angle(first, h[j], s[j])
+            angle(first + 1, p[j], h[j])
+            # h = 0 leaves one root, on an axis
+            np.copyto(phi[first], (p[j] != 0.0) * (0.5 * math.pi), where=one[j])
+
+    def evaluate(k):
+        # u cos**2 + v sin**2 + s sin cos of D into d and of N into value,
+        # in place so the temporaries stay few, then N / D
+        c, s = np.cos(phi[k]), np.sin(phi[k])
+        term = np.empty_like(c)
+        for (u, v, w), out in ((den, d[k]), (num, value[k])):
+            np.multiply(u, c, out=out)
+            out *= c
+            np.multiply(v, s, out=term)
+            term *= s
+            out += term
+            np.multiply(w, s, out=term)
+            term *= c
+            out += term
+        np.copyto(d[k], du, where=constant)
+        value[k] /= d[k]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angle(1, ds, du - dv)
+        phi[1] *= 0.5
+        # the stationary and the mask-edge quadratic; the mask edge's q is
+        # ds itself, since ds + 0 * floor would turn a -0.0 into +0.0 and
+        # flip copysign
+        roots(
+            2,
+            np.array([0.5 * (ns * du - ds * nu), du - floor]),
+            np.array([nv * du - nu * dv, ds]),
+            np.array([0.5 * (ds * nv - ns * dv), dv - floor]),
+        )
+        evaluate(slice(0, 6))
+        valid[:4] &= ~(d[:4] < floor)
+        valid[4:6] &= floor != -math.inf
+        reached = valid[:6].any(axis=0)
+        if not reached.all():
+            bad = np.unravel_index((~reached).argmax(), shape)
+            raise ValueError(
+                f"column {int(bad[0]) if len(bad) == 1 else tuple(map(int, bad))}: "
+                "no angle has D above the floor"
+            )
+        # the largest value, the first of equal ones, as max() picks it
+        top = np.where(valid[:6], value[:6], -math.inf)
+        cut = value[(valid[:6] & (top == top.max(axis=0))).argmax(axis=0), columns] - tie_tol
+        roots(6, (nu - cut * du)[None], (ns - cut * ds)[None], (nv - cut * dv)[None])
+        evaluate(slice(6, 8))
+        valid[6:] &= ~(d[6:] < floor)
+        # the first candidate with the largest D inside the tie window
+        window = valid & (value >= cut)
+        wide = np.where(window, d, -math.inf)
+        best = (window & (wide == wide.max(axis=0))).argmax(axis=0)
+    value, phi, d = value[best, columns], np.mod(phi[best, columns], math.pi), d[best, columns]
+    phi[phi == math.pi] = 0.0
+    return value.reshape(shape), phi.reshape(shape), d.reshape(shape)
+
+
 def maximize_form(num):
     """Maximize N(phi) = u cos**2 + v sin**2 + s sin cos, column by column.
 

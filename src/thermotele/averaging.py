@@ -19,8 +19,8 @@ Every such average is linear in the 16 entries of the channel matrix.
 The quadrature therefore runs once per grid, into the input state's
 second and fourth moments, which fix a channel-independent linear map;
 a channel's averages are that map applied to its entries.  Only the
-Monte Carlo estimator, kept as an independent check, sums over inputs
-per channel.
+Monte Carlo estimator the tests keep as an independent check sums over
+inputs per channel.
 
 These averages define ground truth for every closed-form expression in
 the package.
@@ -92,7 +92,8 @@ class AveragedQuantities:
     ``fbar_cond[j, e]`` is indexed by outcome j (rows, j = 1..4) and
     correction-set label e in ``SET_ORDER`` columns; entries with
     qbar below ``UNDEFINED_QBAR`` are NaN with ``defined`` False.
-    Standard errors are populated by the Monte Carlo estimator only.
+    Standard errors are populated only by the Monte Carlo estimator the
+    tests keep as an independent check.
     """
 
     phi: float
@@ -104,9 +105,6 @@ class AveragedQuantities:
     fbar_cond_stderr: np.ndarray | None = None
     fbar_det_stderr: np.ndarray | None = None
 
-    def det_for(self, label: CorrectionLabel) -> float:
-        return float(self.fbar_det[SET_ORDER.index(CorrectionLabel(label))])
-
 
 def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
     """Kets and pure density matrices for a batch of input coordinates."""
@@ -115,11 +113,6 @@ def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
     kets = np.stack([a.astype(complex), b], axis=1)
     rho = np.einsum("ai,aj->aij", kets, kets.conj())
     return kets, rho
-
-
-def _rotated_kets(kets: np.ndarray):
-    """kets premultiplied by U^dagger for each distinct correction Pauli."""
-    return {key: kets @ u.conj() for key, u in _U_BY_KEY.items()}
 
 
 @lru_cache(maxsize=8)
@@ -169,76 +162,6 @@ def average_all(channel, phi: float, grid: QuadratureGrid = DEFAULT_GRID) -> Ave
     integrals E[F_j Q_j] / E[Q_j], never as a pointwise average of F_j.
     """
     return HarmonicAverages(channel, grid).at(phi)
-
-
-def average_all_montecarlo(
-    channel, phi: float, samples: int, seed: int
-) -> AveragedQuantities:
-    """Monte Carlo estimate of the same averages, with standard errors.
-
-    Sampling uses numpy's seeded PCG64 generator, so a fixed seed
-    reproduces the output bit for bit.  Conditional-fidelity errors come
-    from the delta method for the ratio estimator.
-    """
-    if samples < 1000:
-        raise ValueError("use at least 1000 Monte Carlo samples")
-    rng = np.random.default_rng(seed)
-    alpha_sq = rng.uniform(0.0, 1.0, samples)
-    gamma = rng.uniform(0.0, 2.0 * np.pi, samples)
-    ch_t = channel_matrix(channel).reshape(2, 2, 2, 2)
-    kets, rho_in = _state_batch(alpha_sq, gamma)
-    rot = _rotated_kets(kets)
-    c, s = np.cos(phi), np.sin(phi)
-
-    q_samples = np.empty((4, samples))
-    fq_samples = {}  # (j, pauli-key) -> per-sample F_j Q_j
-    for j in range(4):
-        coeff = c * _BELL_COS[j] + s * _BELL_SIN[j]
-        energy = np.einsum(
-            "kl,mn,akm,lwnv->awv", coeff, coeff.conj(), rho_in, ch_t, optimize=True
-        )
-        q_samples[j] = np.einsum("aww->a", energy).real
-        for key, kr in rot.items():
-            fq_samples[(j, key)] = np.einsum(
-                "aw,awv,av->a", kr.conj(), energy, kr
-            ).real
-
-    qbar = q_samples.mean(axis=1)
-    qbar_se = q_samples.std(axis=1, ddof=1) / np.sqrt(samples)
-
-    joint = np.empty((4, 4))
-    joint_samples = np.empty((4, 4, samples))
-    for j in range(4):
-        for e, lab in enumerate(SET_ORDER):
-            fq = fq_samples[(j, CORRECTION_KEYS[lab][j])]
-            joint_samples[j, e] = fq
-            joint[j, e] = fq.mean()
-
-    defined = qbar >= UNDEFINED_QBAR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fbar_cond = np.where(defined[:, None], joint / qbar[:, None], np.nan)
-    cond_se = np.full((4, 4), np.nan)
-    for j in range(4):
-        if not defined[j]:
-            continue
-        for e in range(4):
-            resid = joint_samples[j, e] - fbar_cond[j, e] * q_samples[j]
-            cond_se[j, e] = np.sqrt(resid.var(ddof=1) / samples) / qbar[j]
-
-    det_samples = joint_samples.sum(axis=0)
-    fbar_det = det_samples.mean(axis=1)
-    det_se = det_samples.std(axis=1, ddof=1) / np.sqrt(samples)
-
-    return AveragedQuantities(
-        phi=float(phi),
-        qbar=qbar,
-        fbar_cond=fbar_cond,
-        fbar_det=fbar_det,
-        defined=defined,
-        qbar_stderr=qbar_se,
-        fbar_cond_stderr=cond_se,
-        fbar_det_stderr=det_se,
-    )
 
 
 class HarmonicAverages:

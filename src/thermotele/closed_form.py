@@ -23,11 +23,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import _version
-from ._optimize import Branch, labeled, maximize_ratio, select
+from ._optimize import Branch, labeled, maximize_ratios, select
 from .averaging import DEFAULT_GRID, QuadratureGrid, average_all
 from .spin_models import DerivedParams, HeisenbergParams, elementwise, thermal_state
 
@@ -87,6 +88,16 @@ class ClosedFormInputs:
         """The sub-batch ``index`` (numpy indexing) of a batch."""
         derived = {k: v[index] for k, v in vars(self.derived).items()}
         return ClosedFormInputs(DerivedParams(**derived), self.jz[index], self.beta[index])
+
+    # each printed expression reads one family's hyperbolic terms; they are
+    # built once per inputs, however many expressions read them
+    @cached_property
+    def phi_terms(self) -> "_PhiFamilyTerms":
+        return _phi_family(self)
+
+    @cached_property
+    def psi_terms(self) -> "_PsiFamilyTerms":
+        return _psi_family(self)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +184,7 @@ def q_rate(inp: ClosedFormInputs, phi):
     """Success rate q(phi) of outcomes 1 and 4; outcomes 2 and 3 carry
     q(pi/2 - phi).  ``phi`` broadcasts against the inputs."""
     d = inp.derived
-    t = _phi_family(inp)
+    t = inp.phi_terms
     num = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
     den = 4.0 * (t.cosh_chi + t.cosh_eta_jz)
     return 0.25 - np.cos(2.0 * np.asarray(phi, dtype=float)) * num / den
@@ -185,11 +196,11 @@ def f_branch(inp: ClosedFormInputs, branch: Branch, phi):
     d = inp.derived
     sin2 = np.sin(2.0 * np.asarray(phi, dtype=float))
     if Branch(branch) is Branch.PHI:
-        t = _phi_family(inp)
+        t = inp.phi_terms
         num = t.cosh_chi - d.sigma_j * sin2 * t.sinh_chi_ratio
         den = 3.0 * (t.cosh_chi + t.cosh_eta_jz)
     else:
-        t = _psi_family(inp)
+        t = inp.psi_terms
         num = t.cosh_eta - d.delta_j * sin2 * t.sinh_eta_ratio
         den = 3.0 * (t.cosh_chi_jz + t.cosh_eta)
     return 1.0 / 3.0 + num / den
@@ -204,13 +215,13 @@ def _branch_det_opt(inp: ClosedFormInputs, branch: Branch):
     """
     d = inp.derived
     if branch is Branch.PHI:
-        t = _phi_family(inp)
+        t = inp.phi_terms
         value = 1.0 / 3.0 + (t.cosh_chi + abs(d.sigma_j) * t.sinh_chi_ratio) / (
             3.0 * (t.cosh_chi + t.cosh_eta_jz)
         )
         key = d.sigma_j
     else:
-        t = _psi_family(inp)
+        t = inp.psi_terms
         value = 1.0 / 3.0 + (t.cosh_eta + abs(d.delta_j) * t.sinh_eta_ratio) / (
             3.0 * (t.cosh_chi_jz + t.cosh_eta)
         )
@@ -227,12 +238,12 @@ def _g_coefficients(inp: ClosedFormInputs, branch: Branch):
     """
     d = inp.derived
     if Branch(branch) is Branch.PHI:
-        t = _phi_family(inp)
+        t = inp.phi_terms
         num = (t.cosh_chi, -t.sinh_chi_ratio * d.delta_h, -t.sinh_chi_ratio * d.sigma_j)
         scale = t.cosh_chi + t.cosh_eta_jz
         tilt = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
     else:
-        t = _psi_family(inp)
+        t = inp.psi_terms
         num = (t.cosh_eta, -t.sinh_eta_ratio * d.sigma_h, -t.sinh_eta_ratio * d.delta_j)
         scale = t.cosh_chi_jz + t.cosh_eta
         tilt = d.delta_h * t.sinh_chi_jz_ratio + d.sigma_h * t.sinh_eta_ratio
@@ -265,14 +276,6 @@ _BRANCHES = tuple(Branch)
 def _one_or_all(inp: ClosedFormInputs, results: list):
     """The result of a single point (float inputs) or the batch's list."""
     return results if np.ndim(inp.jz) or np.ndim(inp.beta) else results[0]
-
-
-def _rows(*columns) -> list:
-    """Columns (broadcast first) as one tuple of floats per point."""
-    if not any(isinstance(c, np.ndarray) for c in columns):
-        return [tuple(map(float, columns))]
-    shape = np.broadcast(*columns).shape
-    return list(zip(*(np.broadcast_to(c, shape).ravel().tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,26 +570,25 @@ def reconciled_prob_optimal(p, beta, mapping: ConventionMapping | None = None):
     for one HeisenbergParams, a list for a sequence of them (one beta
     each).  ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
 
-    One scalar optimizer call per point and branch.  Angles whose pair
-    probability falls below MIN_PAIR_PROBABILITY are excluded, and
-    fidelities within SUCCESS_TIE_TOL of the top go to the larger success
-    rate.  Pair (2, 3) at phi has the efficiency of pair (1, 4) at
-    pi/2 - phi, so optimizing pair (1, 4) over all angles covers both; the
-    result reports pair (1, 4) and its success rate 2 q(phi_opt).
+    One column-wise optimizer call covers every point and both branches.
+    Angles whose pair probability falls below MIN_PAIR_PROBABILITY are
+    excluded, and fidelities within SUCCESS_TIE_TOL of the top go to the
+    larger success rate.  Pair (2, 3) at phi has the efficiency of pair
+    (1, 4) at pi/2 - phi, so optimizing pair (1, 4) over all angles covers
+    both; the result reports pair (1, 4) and its success rate 2 q(phi_opt).
     """
     mapping = mapping or default_mapping()
     inp = mapping.inputs(p, beta)
-    values, angles = [], []
+    # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
+    # itself, with the tie window scaled to match; one (7, branch, ...)
+    # table holds N's and D's (u, v, s) and the floor of both branches
+    columns = []
     for branch in Branch:
-        # g = 1/3 + num/(3 den) rises with num/den, so maximize the ratio
-        # itself, with the tie window scaled to match
         num, den, scale = _g_coefficients(inp, mapping.formula_branch(branch))
-        opts = [
-            maximize_ratio(row[:3], row[3:6], floor=row[6], tie_tol=3.0 * SUCCESS_TIE_TOL)
-            for row in _rows(
-                *_single_angle(num), *_single_angle(den), 2.0 * MIN_PAIR_PROBABILITY * scale
-            )
-        ]
-        values.append(1.0 / 3.0 + np.array([opt.value for opt in opts]) / 3.0)
-        angles.append([opt.phi for opt in opts])
-    return _best_branch(inp, (1, 4), values, angles)
+        columns += [*_single_angle(num), *_single_angle(den), 2.0 * MIN_PAIR_PROBABILITY * scale]
+    table = np.array(np.broadcast_arrays(*columns))
+    table = table.reshape((2, 7) + table.shape[1:]).swapaxes(0, 1)
+    value, phi, _ = maximize_ratios(
+        table[:3], table[3:6], table[6], tie_tol=3.0 * SUCCESS_TIE_TOL
+    )
+    return _best_branch(inp, (1, 4), list(1.0 / 3.0 + value / 3.0), list(phi))

@@ -2,10 +2,8 @@
 
 Every operator in this package lives on one, two, or three qubits, so
 matrices are plain numpy arrays of shape (2, 2), (4, 4), or (8, 8).
-This module provides the small set of primitives everything else is built
-on (Kronecker products, partial traces, Hermitian eigendecomposition,
-Gibbs states) together with the validated value types
-``DensityMatrix`` and ``PureQubit``.
+This module provides the validated value types ``DensityMatrix`` and
+``PureQubit``, the validation of channel stacks, and partial traces.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ def cmatrix(entries) -> np.ndarray:
     if m.shape[0] not in SUPPORTED_DIMS:
         raise ValueError("unsupported dimension")
     return m
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def _as_array(m) -> np.ndarray:
@@ -157,24 +151,6 @@ class PureQubit:
         return np.outer(v, v.conj())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product restricted to total dimension <= 8.
-
-    Parameters
-    ----------
-    a, b : square complex matrices with dimensions in {2, 4, 8}
-
-    Returns
-    -------
-    The (dim_a * dim_b)-dimensional Kronecker product a (x) b.
-    """
-    a = cmatrix(_as_array(a))
-    b = cmatrix(_as_array(b))
-    if a.shape[0] * b.shape[0] > 8:
-        raise ValueError("unsupported dimension")
-    return np.kron(a, b)
-
-
 def partial_trace_first_two(rho):
     """Trace out the first two qubits of a three-qubit operator.
 
@@ -196,37 +172,3 @@ def partial_trace_first_two(rho):
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(reduced)
     return reduced
-
-
-def hermitian_eigen(m, tol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    m : square complex matrix, Hermitian within ``tol``
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors) with eigenvalues ascending and
-    eigenvectors as orthonormal columns, so that m = V diag(w) V^dagger.
-    """
-    m = cmatrix(_as_array(m))
-    if not is_hermitian(m, tol):
-        raise ValueError("expected Hermitian")
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return w, v
-
-
-def gibbs_density(h, beta: float):
-    """Normalized thermal state exp(-beta h)/Tr[exp(-beta h)].
-
-    Works at arbitrarily large ``beta``: the spectrum is shifted by its
-    minimum before exponentiating, and the common factor cancels in the
-    normalization.  Returns ``(rho, z_shifted)`` where ``z_shifted`` is the
-    partition function of the shifted spectrum.
-    """
-    w, v = hermitian_eigen(h)
-    weights = np.exp(-beta * (w - w.min()))
-    z = float(weights.sum())
-    rho = (v * (weights / z)) @ v.conj().T
-    return rho, z

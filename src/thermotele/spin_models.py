@@ -133,17 +133,6 @@ class XXZFieldParams:
         )
 
 
-def build_hamiltonian(p: HeisenbergParams) -> np.ndarray:
-    """Assemble the 4x4 Hamiltonian matrix in the computational basis."""
-    return (
-        p.jx * np.kron(PAULI_X, PAULI_X)
-        + p.jy * np.kron(PAULI_Y, PAULI_Y)
-        + p.jz * np.kron(PAULI_Z, PAULI_Z)
-        + p.ha * np.kron(PAULI_Z, IDENTITY2)
-        + p.hb * np.kron(IDENTITY2, PAULI_Z)
-    )
-
-
 def from_xy_field(q: XYFieldParams) -> HeisenbergParams:
     """Map (lam, zeta) onto raw couplings.
 

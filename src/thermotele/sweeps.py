@@ -227,45 +227,43 @@ def _record(model, p, native, kt, engine, det, prob) -> SweepRecord:
     )
 
 
-def _closed_records(model, points, mapping) -> list:
-    """Closed-engine records of (params, native, kt) points, in one pass."""
-    closed = _closed_points([p for p, _, _ in points], [kt for _, _, kt in points], mapping)
-    return [
-        _record(model, p, native, kt, "closed", *point)
-        for (p, native, kt), point in zip(points, closed)
-    ]
+def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
+    """Closed-engine records of (model, params, native, kt) points, with
+    every closed form run once on the whole batch.
 
-
-def _checked_records(records, mapping) -> list:
-    """Oracle records as engine "both", each carrying its worst absolute
-    gap to the closed forms; the closed half runs once on the batch.
-
+    ``oracle`` holds each point's oracle record, or ``None``.  A point
+    without one gets its closed record; a point with one gets that record
+    as engine "both", carrying its worst absolute gap to the closed forms.
     The success rate is compared at the oracle's angle: optimal angles
     themselves are sqrt-conditioned on flat maxima, but the averaged
     quantities at any common angle are not.
     """
-    params = [r.params for r in records]
-    kts = [r.kt for r in records]
-    closed = _closed_points(params, kts, mapping)
-    rates = reconciled_pair_rate(
-        params,
-        1.0 / np.asarray(kts, dtype=float),
-        [r.prob_phi for r in records],
-        [tuple(int(s) for s in r.prob_pair.split("+")) for r in records],
+    if not points:
+        return []
+    optima = _closed_points([p for _, p, _, _ in points], [kt for *_, kt in points], mapping)
+    checked = [r for r in oracle if r is not None]
+    rates = iter(reconciled_pair_rate(
+        [r.params for r in checked],
+        1.0 / np.asarray([r.kt for r in checked], dtype=float),
+        [r.prob_phi for r in checked],
+        [tuple(int(s) for s in r.prob_pair.split("+")) for r in checked],
         mapping,
-    )
-    return [
-        replace(
-            r,
-            engine="both",
-            engine_disagreement=max(
-                abs(r.det_value - det.best_value),
-                abs(r.prob_value - prob.best_value),
-                abs(r.success_rate - rate),
-            ),
-        )
-        for r, (det, prob), rate in zip(records, closed, rates)
-    ]
+    ) if checked else [])
+    records = []
+    for (model, p, native, kt), r, (det, prob) in zip(points, oracle, optima):
+        if r is None:
+            records.append(_record(model, p, native, kt, "closed", det, prob))
+        else:
+            records.append(replace(
+                r,
+                engine="both",
+                engine_disagreement=max(
+                    abs(r.det_value - det.best_value),
+                    abs(r.prob_value - prob.best_value),
+                    abs(r.success_rate - next(rates)),
+                ),
+            ))
+    return records
 
 
 def _resolve_mapping(engine: str):
@@ -303,20 +301,15 @@ def evaluate_point(
         mapping = _resolve_mapping(engine)
     p, native = _point_params(model, values)
     if engine == "closed":
-        return _closed_records(model, [(p, native, kt)], mapping)[0]
+        return _closed_records([(model, p, native, kt)], [None], mapping)[0]
     record = _record(model, p, native, kt, "oracle", *_oracle_point(p, kt, grid))
-    return _checked_records([record], mapping)[0] if engine == "both" else record
+    if engine == "both":
+        return _closed_records([(model, p, native, kt)], [record], mapping)[0]
+    return record
 
 
-def run_sweep(spec: SweepSpec):
-    """Evaluate the sweep, one record per grid point, ordered by the swept
-    value.  With engine "both" the record carries the oracle numbers and
-    the worst absolute oracle/closed-form disagreement.
-
-    The oracle half calls ``evaluate_point`` once per point; the closed
-    half evaluates all points in one pass.
-    """
-    mapping = _resolve_mapping(spec.engine)
+def _grid_points(spec: SweepSpec) -> list:
+    """(values, kt) of every grid point, ordered by the swept value."""
     points = []
     for x in spec.grid_values():
         values = dict(spec.fixed)
@@ -326,15 +319,50 @@ def run_sweep(spec: SweepSpec):
             kt = float(values["kt"])
             values[spec.swept] = float(x)
         points.append((values, kt))
-    if spec.engine == "closed":
-        return _closed_records(
-            spec.model, [(*_point_params(spec.model, v), kt) for v, kt in points], mapping
-        )
-    records = [
-        evaluate_point(spec.model, values, kt, "oracle", spec.grid)
-        for values, kt in points
+    return points
+
+
+def run_sweep(spec: SweepSpec):
+    """Evaluate the sweep, one record per grid point, ordered by the swept
+    value: ``run_sweeps([spec])[0]``.  With engine "both" the record
+    carries the oracle numbers and the worst absolute oracle/closed-form
+    disagreement.
+    """
+    return run_sweeps([spec])[0]
+
+
+def run_sweeps(specs) -> list:
+    """Evaluate several sweeps, one record list per spec, each as
+    :func:`run_sweep` gives it.
+
+    The oracle half calls ``evaluate_point`` once per point.  The closed
+    half of every spec (engine "closed", and the check of engine "both")
+    runs in one pass over all their points, so the curves of a figure
+    panel share one batch.
+    """
+    specs = list(specs)
+    mapping = None
+    if any(spec.engine != "oracle" for spec in specs):
+        mapping = _resolve_mapping("closed")
+    runs = []  # per spec: its oracle records, or None per point
+    points, oracle = [], []  # the closed half's points, all specs in turn
+    for spec in specs:
+        grid = _grid_points(spec)
+        if spec.engine == "closed":
+            records = [None] * len(grid)
+            points += [(spec.model, *_point_params(spec.model, v), kt) for v, kt in grid]
+        else:
+            records = [evaluate_point(spec.model, v, kt, "oracle", spec.grid) for v, kt in grid]
+            if spec.engine == "both":
+                points += [(r.model, r.params, r.native, r.kt) for r in records]
+        if spec.engine != "oracle":
+            oracle += records
+        runs.append(records)
+    closed = iter(_closed_records(points, oracle, mapping))
+    return [
+        records if spec.engine == "oracle" else [next(closed) for _ in records]
+        for spec, records in zip(specs, runs)
     ]
-    return _checked_records(records, mapping) if spec.engine == "both" else records
 
 
 # ---------------------------------------------------------------------------
@@ -359,32 +387,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(r: SweepRecord):
-    return [
-        _fmt(CSV_SCHEMA_VERSION),
-        r.model,
-        _fmt(r.native.get("lam")),
-        _fmt(r.native.get("zeta")),
-        _fmt(r.native.get("bigj")),
-        _fmt(r.native.get("delta")),
-        _fmt(r.native.get("field")),
-        _fmt(r.params.jx), _fmt(r.params.jy), _fmt(r.params.jz),
-        _fmt(r.params.ha), _fmt(r.params.hb),
-        _fmt(r.kt),
-        r.engine,
-        _fmt(r.det_value), _fmt(r.det_phi), r.det_set,
-        _fmt(r.prob_value), _fmt(r.prob_phi), r.prob_set, r.prob_pair,
-        _fmt(r.success_rate),
-        _fmt(r.above_classical_det), _fmt(r.above_classical_prob),
-        _fmt(r.engine_disagreement),
-    ]
+def _record_row(r: SweepRecord) -> str:
+    """One CSV line; the fields that are always floats skip ``_fmt``."""
+    p = r.params
+    native = ",".join(_fmt(r.native.get(k)) for k in ("lam", "zeta", "bigj", "delta", "field"))
+    return (
+        f"{CSV_SCHEMA_VERSION},{r.model},{native},"
+        f"{p.jx:.17g},{p.jy:.17g},{p.jz:.17g},{p.ha:.17g},{p.hb:.17g},{r.kt:.17g},{r.engine},"
+        f"{r.det_value:.17g},{r.det_phi:.17g},{r.det_set},"
+        f"{r.prob_value:.17g},{r.prob_phi:.17g},{r.prob_set},{r.prob_pair},"
+        f"{r.success_rate:.17g},{_fmt(r.above_classical_det)},"
+        f"{_fmt(r.above_classical_prob)},{_fmt(r.engine_disagreement)}"
+    )
 
 
 def write_sweep_csv(records, path) -> None:
     """UTF-8, LF, comma-separated; floats carry 17 significant digits so
     files diff byte-stably across runs."""
     lines = [",".join(SWEEP_COLUMNS)]
-    lines.extend(",".join(_record_row(r)) for r in records)
+    lines.extend(_record_row(r) for r in records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -469,15 +490,13 @@ def _write_curve_csvs(outdir: Path, panel: _Panel, curves) -> list:
     succ = ["schema_version,curve,x_name,x,value,pair"]
     for label, records in curves:
         for r in records:
-            x = _fmt(_swept_value(r, panel.x_name))
-            head = f"{CSV_SCHEMA_VERSION},{label},{panel.x_name},{x}"
-            det.append(
-                f"{head},{_fmt(r.det_value)},{r.det_set},{_fmt(r.det_phi)}"
-            )
+            x = _swept_value(r, panel.x_name)
+            head = f"{CSV_SCHEMA_VERSION},{label},{panel.x_name},{x:.17g}"
+            det.append(f"{head},{r.det_value:.17g},{r.det_set},{r.det_phi:.17g}")
             prob.append(
-                f"{head},{_fmt(r.prob_value)},{r.prob_set},{_fmt(r.prob_phi)},{r.prob_pair}"
+                f"{head},{r.prob_value:.17g},{r.prob_set},{r.prob_phi:.17g},{r.prob_pair}"
             )
-            succ.append(f"{head},{_fmt(r.success_rate)},{r.prob_pair}")
+            succ.append(f"{head},{r.success_rate:.17g},{r.prob_pair}")
     paths = []
     for name, lines in (("det", det), ("prob", prob), ("success", succ)):
         path = outdir / f"{panel.prefix}_{name}.csv"
@@ -534,11 +553,18 @@ def reproduce_figure(fig_id: str, outdir, engine: str = "closed", steps: int = 6
     curve_labels = {}
     implementer_chosen = {}
     for panel in panels:
-        curves = []
-        for value in panel.curve_values:
-            spec = replace(panel.spec, fixed={**panel.spec.fixed, panel.curve_key: value})
-            label = f"{panel.curve_key}={value:g}"
-            curves.append((label, run_sweep(spec)))
+        # one closed pass per panel: a pass holds every point's objects at
+        # once, and fig7's 600 points in one pass raised the peak memory of
+        # repeated figure runs by ~5%, while in one process it was no faster
+        # than five 120-point passes
+        specs = [
+            replace(panel.spec, fixed={**panel.spec.fixed, panel.curve_key: value})
+            for value in panel.curve_values
+        ]
+        curves = [
+            (f"{panel.curve_key}={value:g}", records)
+            for value, records in zip(panel.curve_values, run_sweeps(specs))
+        ]
         curve_labels[panel.prefix] = [label for label, _ in curves]
         implementer_chosen[panel.prefix] = {
             "curve_values": list(panel.curve_values),

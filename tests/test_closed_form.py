@@ -6,6 +6,7 @@ import pytest
 import scalar_reference as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from references import det_for
 
 from thermotele._optimize import SET_FAMILY
 from thermotele.averaging import QuadratureGrid, average_all
@@ -109,7 +110,7 @@ class TestFBranch:
 
     def test_oracle_reaches_one_for_same_channel(self):
         av = average_all(thermal_state(XXX_NO_FIELD, 1 / 20.0).rho, math.pi / 4)
-        assert abs(av.det_for(CorrectionLabel.PSI_MINUS) - 1.0) < 1e-12
+        assert abs(det_for(av, CorrectionLabel.PSI_MINUS) - 1.0) < 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(5)

@@ -2,17 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from references import build_hamiltonian, gibbs_density, hermitian_eigen, kron
 
-from thermotele.densmat import (
-    DensityMatrix,
-    PureQubit,
-    channel_matrix,
-    gibbs_density,
-    hermitian_eigen,
-    kron,
-    partial_trace_first_two,
-)
-from thermotele.spin_models import HeisenbergParams, build_hamiltonian
+from thermotele.densmat import DensityMatrix, PureQubit, channel_matrix, partial_trace_first_two
+from thermotele.spin_models import HeisenbergParams
 
 I2 = np.eye(2, dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import scalar_reference as ref
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from thermotele._checks import golden_max
@@ -20,6 +21,7 @@ from thermotele._optimize import (
     labeled,
     maximize_form,
     maximize_ratio,
+    maximize_ratios,
     select,
 )
 from thermotele.closed_form import (
@@ -141,6 +143,56 @@ def test_columns_equal_the_scalar_reference(nums):
     for num, value, phi in zip(nums, values, phis):
         opt = ref.maximize_ratio(num)
         assert (value, phi) == (opt.value, opt.phi)
+
+
+@st.composite
+def columns(draw):
+    """A problem as drawn, with a constant D, or with D's s = -0.0; the
+    floor keeps its share of D's maximum."""
+    num, den, floor, _ = draw(problems())
+    kind = draw(st.sampled_from(["drawn", "constant", "negative zero"]))
+    if kind == "constant":
+        new = (den[0], den[0], 0.0)
+    elif kind == "negative zero":
+        new = (den[0], den[1], -0.0)
+    else:
+        new = den
+    return num, new, floor * den_max(new) / den_max(den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(columns(), min_size=1, max_size=12),
+    st.booleans(),
+    st.sampled_from([0.0, 3 * SUCCESS_TIE_TOL]),
+)
+def test_ratio_columns_equal_the_scalar_optimizer(cases, infinite, tie_tol):
+    # every column of the column-wise optimizer has the bits, signed zeros
+    # included, of the scalar optimizer on that column alone
+    floors = [-math.inf if infinite else floor for _, _, floor in cases]
+    try:
+        expected = [
+            maximize_ratio(num, den, floor, tie_tol)
+            for (num, den, _), floor in zip(cases, floors)
+        ]
+    except ZeroDivisionError:  # D = 0 at a candidate, with no floor
+        assume(False)
+    num = np.array([num for num, _, _ in cases]).T
+    den = np.array([den for _, den, _ in cases]).T
+    values, phis, dens = maximize_ratios(num, den, np.array(floors), tie_tol)
+    for opt, got in zip(expected, zip(values, phis, dens)):
+        assert np.array(got).tobytes() == np.array(opt).tobytes(), (opt, got)
+
+
+def test_ratio_columns_name_a_column_without_reachable_angles():
+    # D = 1 everywhere, so a floor of 2 leaves no angle
+    num = np.tile([[0.5], [0.2], [0.0]], (1, 3))
+    den = np.tile([[1.0], [1.0], [0.0]], (1, 3))
+    with pytest.raises(ValueError, match=r"^column 2: no angle"):
+        maximize_ratios(num, den, np.array([0.5, 0.5, 2.0]))
+    floor = np.array([[0.5, 0.5, 0.5], [0.5, 2.0, 0.5]])
+    with pytest.raises(ValueError, match=r"^column \(1, 1\): no angle"):
+        maximize_ratios(num[:, None].repeat(2, axis=1), den[:, None].repeat(2, axis=1), floor)
 
 
 @settings(max_examples=100, deadline=None)

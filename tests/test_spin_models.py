@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from references import build_hamiltonian, gibbs_density, hermitian_eigen
 
-from thermotele.densmat import gibbs_density, hermitian_eigen
 from thermotele.spin_models import (
     HeisenbergParams,
     XXZFieldParams,
     XYFieldParams,
     block_spectrum,
-    build_hamiltonian,
     critical_point,
     from_xxz_field,
     from_xy_field,

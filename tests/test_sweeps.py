@@ -7,11 +7,13 @@ import pytest
 from thermotele.averaging import HarmonicAverages, QuadratureGrid
 from thermotele.spin_models import thermal_state
 from thermotele.sweeps import (
+    ENGINES,
     SweepRecord,
     SweepSpec,
     evaluate_point,
     reproduce_figure,
     run_sweep,
+    run_sweeps,
     write_sweep_csv,
 )
 
@@ -141,6 +143,21 @@ class TestRunSweep:
         oracle = evaluate_point("raw", values, 1.0, engine="oracle")
         assert (closed.prob_set, closed.prob_pair) == (oracle.prob_set, oracle.prob_pair)
         assert abs(closed.success_rate - oracle.success_rate) <= 1e-6
+
+    @pytest.mark.parametrize("engines", [[e] * 3 for e in ENGINES] + [list(ENGINES)])
+    def test_many_sweeps_equal_one_sweep_at_a_time(self, engines):
+        # the closed half runs once over every spec's points; each record
+        # must come out as its own sweep gives it, also with engines mixed
+        grid = QuadratureGrid(8, 8)
+        specs = [
+            SweepSpec(model, fixed, swept, start, stop, steps, engine=engine, grid=grid)
+            for engine, (model, fixed, swept, start, stop, steps) in zip(engines, [
+                ("ising", {"lam": 0.7}, "kt", 0.05, 3.0, 5),
+                ("xxz", {"bigj": 1.0, "field": 4.0, "kt": 0.3}, "delta", -2.0, 3.0, 4),
+                ("xy", {"kt": 1.0, "zeta": 0.5}, "lambda", 0.02, 2.5, 6),
+            ])
+        ]
+        assert run_sweeps(specs) == [run_sweep(spec) for spec in specs]
 
     def test_raw_model(self):
         r = evaluate_point(
