@@ -92,8 +92,6 @@ class AveragedQuantities:
     ``fbar_cond[j, e]`` is indexed by outcome j (rows, j = 1..4) and
     correction-set label e in ``SET_ORDER`` columns; entries with
     qbar below ``UNDEFINED_QBAR`` are NaN with ``defined`` False.
-    Standard errors are populated only by the Monte Carlo estimator the
-    tests keep as an independent check.
     """
 
     phi: float
@@ -101,9 +99,6 @@ class AveragedQuantities:
     fbar_cond: np.ndarray
     fbar_det: np.ndarray
     defined: np.ndarray
-    qbar_stderr: np.ndarray | None = None
-    fbar_cond_stderr: np.ndarray | None = None
-    fbar_det_stderr: np.ndarray | None = None
 
 
 def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):

@@ -217,7 +217,14 @@ def _cmd_validate(args) -> int:
     return status
 
 
+# the flags each crossing needs
+_CRITICAL_FLAGS = {"xxx_field": ("--field",), "xxz_field": ("--bigj", "--field")}
+
+
 def _cmd_critical(args) -> int:
+    flags = _CRITICAL_FLAGS.get(args.model, ())
+    if any(getattr(args, flag[2:]) is None for flag in flags):
+        raise ValueError(f"critical {args.model} needs {' and '.join(flags)}")
     value = critical_point(args.model, field_h=args.field, exchange_j=args.bigj)
     print(f"{value:.12f}")
     return 0

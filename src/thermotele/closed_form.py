@@ -20,7 +20,6 @@ expansion of sinh(beta x)/x.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -55,8 +54,9 @@ class ClosedFormInputs:
 
     Fields are floats for one point or equal-length arrays for a batch of
     points; every expression below is elementwise in them, broadcasts
-    against its angle argument, and gives a point the same bits alone as
-    in any batch.
+    against its angle argument, and runs the same numpy operations on a
+    float as on an array, so a point gets the same bits alone as in any
+    batch.
 
     ``derived`` and ``jz`` are deliberately independent fields so that a
     convention mapping can flip the sign of jz without touching the gap
@@ -89,15 +89,19 @@ class ClosedFormInputs:
         derived = {k: v[index] for k, v in vars(self.derived).items()}
         return ClosedFormInputs(DerivedParams(**derived), self.jz[index], self.beta[index])
 
-    # each printed expression reads one family's hyperbolic terms; they are
-    # built once per inputs, however many expressions read them
+    # each printed expression reads one branch's hyperbolic terms; a branch
+    # is built once per inputs, and only if some expression reads it
     @cached_property
-    def phi_terms(self) -> "_PhiFamilyTerms":
-        return _phi_family(self)
+    def phi_terms(self) -> "_BranchTerms":
+        return _branch_terms(self, Branch.PHI)
 
     @cached_property
-    def psi_terms(self) -> "_PsiFamilyTerms":
-        return _psi_family(self)
+    def psi_terms(self) -> "_BranchTerms":
+        return _branch_terms(self, Branch.PSI)
+
+    def terms(self, branch: Branch) -> "_BranchTerms":
+        """The hyperbolic terms of the printed ``branch``."""
+        return self.phi_terms if Branch(branch) is Branch.PHI else self.psi_terms
 
 
 # ---------------------------------------------------------------------------
@@ -116,63 +120,60 @@ def _shifted_pair(beta, x, offset, shift):
     # where it applies and the difference quotient gets a unit divisor
     # where x may vanish: neither can overflow or divide by zero
     taylor = beta * x < GAP_EPS
-    series_x = _where(taylor, beta * x, 0.0)
-    ratio = _where(
+    series_x = np.where(taylor, beta * x, 0.0)
+    ratio = np.where(
         taylor,
         beta * _exp(beta * (offset - shift)) * (1.0 + series_x**2 / 6.0),
-        (up - down) / _where(taylor, 1.0, 2.0 * x),
+        (up - down) / np.where(taylor, 1.0, 2.0 * x),
     )
     return 0.5 * (up + down), ratio
 
 
-def _where(cond, a, b):
-    """``np.where`` on arrays, the plain choice on a single point."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
-def _maximum(a, b):
-    """``np.maximum`` on arrays, ``max`` on a single point."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
 @dataclass(frozen=True)
-class _PhiFamilyTerms:
-    """Shared pieces of q, f^phi, g^phi after dividing out eta*chi.
+class _BranchTerms:
+    """One printed branch's pieces of q, f and g after dividing out eta*chi.
 
-    cosh_chi etc. all carry the common factor exp(-beta*shift) with
-    shift = max(chi, 2 jz + eta), so the denominator cosh_chi + cosh_eta_jz
-    is always in [1/2, 2] and ratios are safe at any beta.
+    The phi-branch's own sector gap is chi, the other sector's is eta and
+    sits at offset 2 jz; the psi-branch's own gap is eta, the other chi at
+    offset -2 jz.  All four terms carry the common factor exp(-beta*shift)
+    with shift = max(own, offset + other), so ``scale`` is always in
+    [1/2, 2] and ratios are safe at any beta.
     """
 
-    cosh_chi: np.ndarray          # cosh(beta chi)
-    sinh_chi_ratio: np.ndarray    # sinh(beta chi)/chi
-    cosh_eta_jz: np.ndarray       # e^{2 beta jz} cosh(beta eta)
-    sinh_eta_jz_ratio: np.ndarray  # e^{2 beta jz} sinh(beta eta)/eta
+    cosh: np.ndarray         # cosh(beta own)
+    ratio: np.ndarray        # sinh(beta own)/own
+    other_cosh: np.ndarray   # e^{beta offset} cosh(beta other)
+    other_ratio: np.ndarray  # e^{beta offset} sinh(beta other)/other
+    key: np.ndarray          # coupling on sin(2 phi): sigma_j (phi), delta_j (psi)
+    field: np.ndarray        # field on ratio: delta_h (phi), sigma_h (psi)
+    other_field: np.ndarray  # field on other_ratio: sigma_h (phi), delta_h (psi)
+
+    @property
+    def scale(self):
+        return self.cosh + self.other_cosh
+
+    @property
+    def tilt(self):
+        return self.field * self.ratio + self.other_field * self.other_ratio
 
 
-@dataclass(frozen=True)
-class _PsiFamilyTerms:
-    cosh_eta: np.ndarray          # cosh(beta eta)
-    sinh_eta_ratio: np.ndarray    # sinh(beta eta)/eta
-    cosh_chi_jz: np.ndarray       # e^{-2 beta jz} cosh(beta chi)
-    sinh_chi_jz_ratio: np.ndarray  # e^{-2 beta jz} sinh(beta chi)/chi
-
-
-def _phi_family(inp: ClosedFormInputs) -> _PhiFamilyTerms:
-    d, b, jz = inp.derived, inp.beta, inp.jz
-    shift = _maximum(d.chi, 2.0 * jz + d.eta)
-    return _PhiFamilyTerms(
-        *_shifted_pair(b, d.chi, 0.0, shift), *_shifted_pair(b, d.eta, 2.0 * jz, shift)
-    )
-
-
-def _psi_family(inp: ClosedFormInputs) -> _PsiFamilyTerms:
-    d, b, jz = inp.derived, inp.beta, inp.jz
-    shift = _maximum(d.eta, d.chi - 2.0 * jz)
-    return _PsiFamilyTerms(
-        *_shifted_pair(b, d.eta, 0.0, shift), *_shifted_pair(b, d.chi, -2.0 * jz, shift)
+def _branch_terms(inp: ClosedFormInputs, branch: Branch) -> _BranchTerms:
+    """The one place the printed branches differ: own gap, offset sign and
+    couplings."""
+    d, b = inp.derived, inp.beta
+    if branch is Branch.PHI:
+        own, other, offset = d.chi, d.eta, 2.0 * inp.jz
+        key, field, other_field = d.sigma_j, d.delta_h, d.sigma_h
+    else:
+        own, other, offset = d.eta, d.chi, -2.0 * inp.jz
+        key, field, other_field = d.delta_j, d.sigma_h, d.delta_h
+    # psi's (-2 jz) + chi rounds like chi - 2 jz, and IEEE addition
+    # commutes, so both branches keep the bits of the scalar reference's
+    # separate phi and psi formulas (tests/scalar_reference.py)
+    shift = np.maximum(own, offset + other)
+    return _BranchTerms(
+        *_shifted_pair(b, own, 0.0, shift), *_shifted_pair(b, other, offset, shift),
+        key, field, other_field,
     )
 
 
@@ -183,50 +184,16 @@ def _psi_family(inp: ClosedFormInputs) -> _PsiFamilyTerms:
 def q_rate(inp: ClosedFormInputs, phi):
     """Success rate q(phi) of outcomes 1 and 4; outcomes 2 and 3 carry
     q(pi/2 - phi).  ``phi`` broadcasts against the inputs."""
-    d = inp.derived
     t = inp.phi_terms
-    num = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
-    den = 4.0 * (t.cosh_chi + t.cosh_eta_jz)
-    return 0.25 - np.cos(2.0 * np.asarray(phi, dtype=float)) * num / den
+    return 0.25 - np.cos(2.0 * np.asarray(phi, dtype=float)) * t.tilt / (4.0 * t.scale)
 
 
 def f_branch(inp: ClosedFormInputs, branch: Branch, phi):
     """Deterministic efficiency of the printed phi- or psi-branch at
     measurement angle ``phi``."""
-    d = inp.derived
+    t = inp.terms(branch)
     sin2 = np.sin(2.0 * np.asarray(phi, dtype=float))
-    if Branch(branch) is Branch.PHI:
-        t = inp.phi_terms
-        num = t.cosh_chi - d.sigma_j * sin2 * t.sinh_chi_ratio
-        den = 3.0 * (t.cosh_chi + t.cosh_eta_jz)
-    else:
-        t = inp.psi_terms
-        num = t.cosh_eta - d.delta_j * sin2 * t.sinh_eta_ratio
-        den = 3.0 * (t.cosh_chi_jz + t.cosh_eta)
-    return 1.0 / 3.0 + num / den
-
-
-def _branch_det_opt(inp: ClosedFormInputs, branch: Branch):
-    """Printed optimum of one deterministic branch under the +/- pi/4 rule,
-    as (value, angle).
-
-    The phi-branch keys on the sign of sigma_j, the psi-branch on delta_j;
-    a non-negative key selects 3pi/4 (equivalent to -pi/4).
-    """
-    d = inp.derived
-    if branch is Branch.PHI:
-        t = inp.phi_terms
-        value = 1.0 / 3.0 + (t.cosh_chi + abs(d.sigma_j) * t.sinh_chi_ratio) / (
-            3.0 * (t.cosh_chi + t.cosh_eta_jz)
-        )
-        key = d.sigma_j
-    else:
-        t = inp.psi_terms
-        value = 1.0 / 3.0 + (t.cosh_eta + abs(d.delta_j) * t.sinh_eta_ratio) / (
-            3.0 * (t.cosh_chi_jz + t.cosh_eta)
-        )
-        key = d.delta_j
-    return value, _where(key <= 0.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
+    return 1.0 / 3.0 + (t.cosh - t.key * sin2 * t.ratio) / (3.0 * t.scale)
 
 
 def _g_coefficients(inp: ClosedFormInputs, branch: Branch):
@@ -236,18 +203,9 @@ def _g_coefficients(inp: ClosedFormInputs, branch: Branch):
     g = 1/3 + num / (3 den), and den / (2 * scale) is the postselected
     pair's success rate.
     """
-    d = inp.derived
-    if Branch(branch) is Branch.PHI:
-        t = inp.phi_terms
-        num = (t.cosh_chi, -t.sinh_chi_ratio * d.delta_h, -t.sinh_chi_ratio * d.sigma_j)
-        scale = t.cosh_chi + t.cosh_eta_jz
-        tilt = d.delta_h * t.sinh_chi_ratio + d.sigma_h * t.sinh_eta_jz_ratio
-    else:
-        t = inp.psi_terms
-        num = (t.cosh_eta, -t.sinh_eta_ratio * d.sigma_h, -t.sinh_eta_ratio * d.delta_j)
-        scale = t.cosh_chi_jz + t.cosh_eta
-        tilt = d.delta_h * t.sinh_chi_jz_ratio + d.sigma_h * t.sinh_eta_ratio
-    return num, (scale, -tilt, 0.0), scale
+    t = inp.terms(branch)
+    scale = t.scale
+    return (t.cosh, -t.ratio * t.field, -t.ratio * t.key), (scale, -t.tilt, 0.0), scale
 
 
 def _single_angle(coef):
@@ -361,11 +319,6 @@ class ReconciliationReport:
             "candidate_errors": dict(self.candidate_errors),
             "singlet_ground_case": dict(self.singlet_case),
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _case_errors(cases, oracles, mappings) -> np.ndarray:
@@ -561,7 +514,13 @@ def reconciled_det_optimal(p, beta, mapping: ConventionMapping | None = None):
     """
     mapping = mapping or default_mapping()
     inp = mapping.inputs(p, beta)
-    values, angles = zip(*(_branch_det_opt(inp, mapping.formula_branch(b)) for b in Branch))
+    printed = [mapping.formula_branch(b) for b in Branch]
+    # a non-positive sin(2 phi) coupling selects pi/4, any other 3pi/4
+    # (equivalent to -pi/4); sin(2 phi) is then exactly +/-1
+    angles = [
+        np.where(inp.terms(b).key <= 0.0, math.pi / 4.0, 3.0 * math.pi / 4.0) for b in printed
+    ]
+    values = [f_branch(inp, b, a) for b, a in zip(printed, angles)]
     return _best_branch(inp, None, values, angles)
 
 

@@ -52,7 +52,8 @@ ENGINES = ("oracle", "closed", "both")
 
 
 def _params_for(model: str, values: dict):
-    """Raw couplings plus the model-native parameter dict for one point."""
+    """Raw couplings plus the model-native parameter dict for one point.
+    ``values`` has canonical keys and float values; any kt is ignored."""
     if model == "ising":
         q = XYFieldParams(lam=values["lam"], zeta=1.0)
         return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
@@ -275,14 +276,6 @@ def _resolve_mapping(engine: str):
         raise RuntimeError(f"{exc}; rerun with engine='oracle'") from None
 
 
-def _point_params(model: str, values: dict):
-    """Raw couplings and model-native parameters from ``values`` (any kt
-    entry is ignored)."""
-    values = {_canonical_key(k): float(v) for k, v in values.items()}
-    values.pop("kt", None)
-    return _params_for(model, values)
-
-
 def evaluate_point(
     model: str,
     values: dict,
@@ -299,7 +292,7 @@ def evaluate_point(
         raise ValueError(f"kT must be positive, got {kt}")
     if mapping is None and engine != "oracle":
         mapping = _resolve_mapping(engine)
-    p, native = _point_params(model, values)
+    p, native = _params_for(model, {_canonical_key(k): float(v) for k, v in values.items()})
     if engine == "closed":
         return _closed_records([(model, p, native, kt)], [None], mapping)[0]
     record = _record(model, p, native, kt, "oracle", *_oracle_point(p, kt, grid))
@@ -350,7 +343,8 @@ def run_sweeps(specs) -> list:
         grid = _grid_points(spec)
         if spec.engine == "closed":
             records = [None] * len(grid)
-            points += [(spec.model, *_point_params(spec.model, v), kt) for v, kt in grid]
+            # grid values are canonical floats already (SweepSpec)
+            points += [(spec.model, *_params_for(spec.model, v), kt) for v, kt in grid]
         else:
             records = [evaluate_point(spec.model, v, kt, "oracle", spec.grid) for v, kt in grid]
             if spec.engine == "both":

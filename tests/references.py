@@ -19,12 +19,15 @@ here unchanged: the dense linear algebra of ``thermotele.densmat``
 ``thermotele.spin_models.build_hamiltonian``, ``det_for`` (formerly the
 method ``AveragedQuantities.det_for``) and the Monte Carlo estimator
 ``average_all_montecarlo`` of ``thermotele.averaging`` with its helper
-``_rotated_kets``.
+``_rotated_kets``.  The estimator returns ``MonteCarloAverages``, which
+adds its standard errors (formerly optional fields of
+``AveragedQuantities``).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scalar_reference
@@ -234,9 +237,18 @@ def _rotated_kets(kets: np.ndarray):
     return {key: kets @ u.conj() for key, u in _U_BY_KEY.items()}
 
 
+@dataclass(frozen=True)
+class MonteCarloAverages(AveragedQuantities):
+    """The Monte Carlo estimate of the averages with its standard errors."""
+
+    qbar_stderr: np.ndarray
+    fbar_cond_stderr: np.ndarray
+    fbar_det_stderr: np.ndarray
+
+
 def average_all_montecarlo(
     channel, phi: float, samples: int, seed: int
-) -> AveragedQuantities:
+) -> MonteCarloAverages:
     """Monte Carlo estimate of the same averages, with standard errors.
 
     Sampling uses numpy's seeded PCG64 generator, so a fixed seed
@@ -292,7 +304,7 @@ def average_all_montecarlo(
     fbar_det = det_samples.mean(axis=1)
     det_se = det_samples.std(axis=1, ddof=1) / np.sqrt(samples)
 
-    return AveragedQuantities(
+    return MonteCarloAverages(
         phi=float(phi),
         qbar=qbar,
         fbar_cond=fbar_cond,

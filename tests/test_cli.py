@@ -76,6 +76,23 @@ def test_critical_subcommand(capsys):
     assert abs(value - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["critical", "xxz_field", "--field", "4"], ("--bigj", "--field")),
+        (["critical", "xxz_field", "--bigj", "1"], ("--bigj", "--field")),
+        (["critical", "xxx_field"], ("--field",)),
+    ],
+)
+def test_critical_names_its_missing_flags(argv, flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("thermotele: error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags)
+
+
 def test_figure_subcommand(tmp_path, capsys):
     status = cli.main(
         ["figure", "fig3", "--out", str(tmp_path), "--steps", "6"]

@@ -17,8 +17,6 @@ from thermotele.closed_form import (
     ClosedFormInputs,
     ConventionMapping,
     _case_errors,
-    _phi_family,
-    _psi_family,
     default_mapping,
     f_branch,
     g_branch,
@@ -327,11 +325,9 @@ class TestReconciliation:
                 continue
             assert _case_errors([(p_no_jz, 2.0, 0.6)], [oracle2], (m,))[0, 0] < 1e-10
 
-    def test_report_json_roundtrip(self, tmp_path):
+    def test_report_json_roundtrip(self):
         report = reconcile_conventions(case_count=100, seed=7)
-        path = tmp_path / "reconciliation.json"
-        report.write_json(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["mapping"] == "flip_jz+swap_phi_psi"
         assert data["cases_tested"] >= 100
         assert data["seed"] == 7
@@ -542,10 +538,20 @@ def assert_batch_equals_reference(cases):
 
     # the shifted hyperbolic terms themselves: outside them, a sinh(beta x)/x
     # term is always multiplied by a component of its own gap x, so an error
-    # in its Taylor form would not show in q, f or g
-    for family, reference in ((_phi_family, ref._phi_family), (_psi_family, ref._psi_family)):
-        for name, column in vars(family(batch)).items():
-            assert column.tolist() == [getattr(reference(s), name) for s in singles]
+    # in its Taylor form would not show in q, f or g; each branch's four
+    # terms are compared under the reference's family names
+    families = (
+        (Branch.PHI, ref._phi_family,
+         ("cosh_chi", "sinh_chi_ratio", "cosh_eta_jz", "sinh_eta_jz_ratio")),
+        (Branch.PSI, ref._psi_family,
+         ("cosh_eta", "sinh_eta_ratio", "cosh_chi_jz", "sinh_chi_jz_ratio")),
+    )
+    for branch, reference, names in families:
+        terms = batch.terms(branch)
+        for name, ref_name in zip(("cosh", "ratio", "other_cosh", "other_ratio"), names):
+            assert getattr(terms, name).tolist() == [
+                getattr(reference(s), ref_name) for s in singles
+            ]
     assert q_rate(batch, phis).tolist() == [float(ref.q_rate(s, a)) for s, a in pairs]
     for branch in Branch:
         assert f_branch(batch, branch, phis).tolist() == [
@@ -576,6 +582,10 @@ def assert_batch_equals_reference(cases):
 # uncoupled qubits in a field: the two branch optima tie to 1e-13, so only
 # the shared candidate rule decides between them
 @example([(HeisenbergParams(0.0, 0.0, 0.0, 1.0, 1.0), 1.0, 0.5)])
+# f's sin(2 phi) term rounds differently if reassociated, and a signed-zero
+# sigma_j pins the +/- pi/4 angle rule at a zero coupling
+@example([(HeisenbergParams(0.3, -0.5, 0.5, 0.4, -0.3), 2.0, 2.6)])
+@example([(HeisenbergParams(-0.0, -0.0, 0.3, 0.5, -0.2), 1.0, 0.5)])
 def test_extended_domain_batches_equal_scalar_reference(cases):
     assert_batch_equals_reference(cases)
 
