@@ -15,12 +15,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .averaging import QuadratureGrid, average_all
+from .averaging import DEFAULT_GRID, QuadratureGrid
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
     CANDIDATE_MAPPINGS,
     Branch,
     _case_errors,
+    _oracle_averages,
+    _random_cases,
     default_mapping,
     default_reconciliation,
     f_branch,
@@ -28,16 +30,8 @@ from .closed_form import (
     reconciled_prob_optimal,
 )
 from .densmat import DensityMatrix, PureQubit
-from .spin_models import (
-    HeisenbergParams,
-    XXZFieldParams,
-    XYFieldParams,
-    critical_point,
-    from_xxz_field,
-    from_xy_field,
-    thermal_state,
-)
-from .sweeps import CLASSICAL_LIMIT, _closed_points, _oracle_point
+from .spin_models import HeisenbergParams, critical_point
+from .sweeps import CLASSICAL_LIMIT, SweepSpec, evaluate_point, run_sweeps
 from .teleport import CorrectionLabel, bell_basis, correction_set, run_outcome
 
 # criterion 9's own dense scan plus golden-section, kept independent of the
@@ -150,14 +144,8 @@ def check_oracle_closed_agreement(seed: int, cases: int = 200) -> CheckResult:
     """Criterion 1: q, f, g vs the quadrature oracle to 1e-8 under the
     resolved mapping, on random tuples with |j|,|h| <= 3, beta in (0,20]."""
     mapping = default_mapping()
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(cases):
-        p = _random_params(rng)
-        beta = float(rng.uniform(0.02, 20.0))
-        phi = float(rng.uniform(0.0, math.pi))
-        drawn.append((p, beta, phi))
-    oracles = [average_all(thermal_state(p, 1.0 / beta).rho, phi) for p, beta, phi in drawn]
+    drawn = _random_cases(np.random.default_rng(seed), cases, 0.02)
+    oracles = _oracle_averages(drawn, DEFAULT_GRID)
     worst = float(_case_errors(drawn, oracles, (mapping,)).max())
     return CheckResult.within(
         "oracle_closed_form_agreement",
@@ -241,24 +229,22 @@ def check_ideal_channel_limits(seed: int) -> CheckResult:
 
 
 _INF_T_MODELS = (
-    ("ising", from_xy_field(XYFieldParams(0.7, 1.0))),
-    ("xx", from_xy_field(XYFieldParams(0.7, 0.0))),
-    ("xy", from_xy_field(XYFieldParams(0.7, 0.5))),
-    ("xxx", from_xxz_field(XXZFieldParams(1.0, 1.0, 8.0))),
-    ("xxz", from_xxz_field(XXZFieldParams(1.0, 0.5, 4.0))),
+    ("ising", {"lam": 0.7}),
+    ("xx", {"lam": 0.7}),
+    ("xy", {"lam": 0.7, "zeta": 0.5}),
+    ("xxx", {"bigj": 1.0, "field": 8.0}),
+    ("xxz", {"bigj": 1.0, "delta": 0.5, "field": 4.0}),
 )
 
 
 def check_infinite_temperature(seed: int = 0) -> CheckResult:
     """Criterion 5: at kT = 1e6 both protocol efficiencies are 0.5 +/- 1e-5."""
-    mapping = default_mapping()
-    params = [p for _, p in _INF_T_MODELS]
-    closed = _closed_points(params, [1e6] * len(params), mapping)
     grid = QuadratureGrid(16, 16)
-    oracle = [_oracle_point(p, 1e6, grid) for p in params]
     worst = 0.0
-    for det, prob in closed + oracle:
-        worst = max(worst, abs(det.best_value - 0.5), abs(prob.best_value - 0.5))
+    for model, values in _INF_T_MODELS:
+        for engine in ("closed", "oracle"):
+            r = evaluate_point(model, values, 1e6, engine, grid)
+            worst = max(worst, abs(r.det_value - 0.5), abs(r.prob_value - 0.5))
     return CheckResult.within(
         "infinite_temperature_limit", worst, 1e-5, {"grid": asdict(grid)}
     )
@@ -277,16 +263,13 @@ def check_figure2_quantitative(seed: int = 0) -> CheckResult:
     pair rate, so no one convention satisfies both.  The pair rate is what
     the success-rate definition specifies; both rates land in details.
     """
-    mapping = default_mapping()
-    (_, p07), (_, p13) = _closed_points(
-        [from_xy_field(XYFieldParams(lam, 1.0)) for lam in (0.7, 1.3)], [0.1, 0.1], mapping
-    )
-    ok_eff = p07.best_value >= 0.99
+    p07, p13 = (evaluate_point("ising", {"lam": lam}, 0.1) for lam in (0.7, 1.3))
+    ok_eff = p07.prob_value >= 0.99
     ok_07 = 0.07 <= p07.success_rate <= 0.13
     ok_13 = 0.25 <= p13.success_rate <= 0.35
     err = 0.0
     if not ok_eff:
-        err = max(err, 0.99 - p07.best_value)
+        err = max(err, 0.99 - p07.prob_value)
     if not ok_07:
         err = max(
             err,
@@ -302,10 +285,10 @@ def check_figure2_quantitative(seed: int = 0) -> CheckResult:
         ok_eff and ok_07 and ok_13,
         err,
         {
-            "lam07_prob_value": p07.best_value,
+            "lam07_prob_value": p07.prob_value,
             "lam07_pair_success": p07.success_rate,
             "lam07_single_outcome_success": 0.5 * p07.success_rate,
-            "lam13_prob_value": p13.best_value,
+            "lam13_prob_value": p13.prob_value,
             "lam13_pair_success": p13.success_rate,
         },
     )
@@ -316,14 +299,16 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
     classical while the probabilistic one beats 2/3 and grows with kT on
     some interval; (b) XXX level crossing at J = 1 for h = 8 and no
     quantum advantage for J < 0; (c) XXZ crossing at Delta = 0."""
-    mapping = default_mapping()
     details = {}
-
-    p_xx = from_xy_field(XYFieldParams(0.7, 0.0))
-    kts = np.linspace(0.05, 3.0, 40)
-    points = _closed_points([p_xx] * len(kts), kts, mapping)
-    det = np.array([opt.best_value for opt, _ in points])
-    prob = np.array([opt.best_value for _, opt in points])
+    xx, *xxx_negative_j = run_sweeps([
+        SweepSpec("xx", {"lam": 0.7}, "kt", 0.05, 3.0, 40),
+        *(
+            SweepSpec("xxx", {"bigj": j, "field": 8.0}, "kt", 0.05, 10.0, 25)
+            for j in (-0.5, -1.5)
+        ),
+    ])
+    det = np.array([r.det_value for r in xx])
+    prob = np.array([r.prob_value for r in xx])
     a_det_classical = bool(np.all(det <= CLASSICAL_LIMIT + 1e-9))
     a_prob_beats = bool(np.any(prob > CLASSICAL_LIMIT))
     a_increases = bool(np.any(np.diff(prob) > 1e-9))
@@ -333,16 +318,11 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
     jc = critical_point("xxx_field", field_h=8.0)
     b_crossing = abs(jc - 1.0) <= 1e-9
     details["xxx_crossing"] = jc
-    kts_xxx = np.linspace(0.05, 10.0, 25)
-    b_negative_j = True
-    for j in (-0.5, -1.5):
-        p = from_xxz_field(XXZFieldParams(j, 1.0, 8.0))
-        for det_pt, prob_pt in _closed_points([p] * len(kts_xxx), kts_xxx, mapping):
-            if (
-                det_pt.best_value > CLASSICAL_LIMIT + 1e-9
-                or prob_pt.best_value > CLASSICAL_LIMIT + 1e-9
-            ):
-                b_negative_j = False
+    b_negative_j = all(
+        max(r.det_value, r.prob_value) <= CLASSICAL_LIMIT + 1e-9
+        for records in xxx_negative_j
+        for r in records
+    )
 
     dc = critical_point("xxz_field", exchange_j=1.0, field_h=4.0)
     c_crossing = abs(dc - 0.0) <= 1e-9
@@ -363,24 +343,22 @@ def check_figure_qualitative(seed: int = 0) -> CheckResult:
 def check_symmetries(seed: int, cases: int = 100) -> CheckResult:
     """Criterion 8: Q1 = Q4, Q2 = Q3, F1 = F4, F2 = F3, sum Q = 1, all to
     1e-10, on random thermal channels."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        p = _random_params(rng)
-        beta = float(rng.uniform(0.02, 10.0))
-        phi = float(rng.uniform(0.0, math.pi))
-        av = average_all(thermal_state(p, 1.0 / beta).rho, phi)
-        worst = max(
-            worst,
-            abs(av.qbar[0] - av.qbar[3]),
-            abs(av.qbar[1] - av.qbar[2]),
-            abs(av.qbar.sum() - 1.0),
-        )
-        for e in range(4):
-            if av.defined[0] and av.defined[3]:
-                worst = max(worst, abs(av.fbar_cond[0, e] - av.fbar_cond[3, e]))
-            if av.defined[1] and av.defined[2]:
-                worst = max(worst, abs(av.fbar_cond[1, e] - av.fbar_cond[2, e]))
+    averages = _oracle_averages(
+        _random_cases(np.random.default_rng(seed), cases, 0.02, 10.0), DEFAULT_GRID
+    )
+    qbar = np.array([av.qbar for av in averages])
+    fbar_cond = np.array([av.fbar_cond for av in averages])
+    defined = np.array([av.defined for av in averages])
+    gaps = [
+        np.abs(qbar[:, 0] - qbar[:, 3]),
+        np.abs(qbar[:, 1] - qbar[:, 2]),
+        np.abs(qbar.sum(axis=1) - 1.0),
+    ]
+    # outcomes 1 and 4, and 2 and 3, compared only where both are defined
+    for j, k in ((0, 3), (1, 2)):
+        both = defined[:, j] & defined[:, k]
+        gaps.append(np.abs(fbar_cond[both, j] - fbar_cond[both, k]).ravel())
+    worst = float(max(gap.max(initial=0.0) for gap in gaps))
     return CheckResult.within("symmetry_suites", worst, 1e-10, {"cases": cases})
 
 

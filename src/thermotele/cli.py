@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import _version
@@ -152,18 +153,8 @@ def _fixed_from_args(args) -> dict:
 def _cmd_point(args) -> int:
     fixed = _fixed_from_args(args)
     record = evaluate_point(args.model, fixed, fixed["kt"], engine=args.engine)
-    payload = {
-        "model": record.model, "kt": record.kt, "engine": record.engine,
-        "params": vars(record.params) | record.native,
-        "det_value": record.det_value, "det_phi": record.det_phi,
-        "det_set": record.det_set,
-        "prob_value": record.prob_value, "prob_phi": record.prob_phi,
-        "prob_set": record.prob_set, "prob_pair": record.prob_pair,
-        "success_rate": record.success_rate,
-        "above_classical_det": record.above_classical_det,
-        "above_classical_prob": record.above_classical_prob,
-        "engine_disagreement": record.engine_disagreement,
-    }
+    payload = asdict(record)
+    payload["params"] |= payload.pop("native")
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         write_sweep_csv([record], args.out)

@@ -381,6 +381,25 @@ def _case_errors(cases, oracles, mappings) -> np.ndarray:
     return errors
 
 
+def _random_cases(rng, count: int, beta_low: float, beta_high: float = 20.0) -> list:
+    """``count`` random (params, beta, phi) cases: couplings and fields in
+    [-3, 3], beta in [beta_low, beta_high), phi in [0, pi)."""
+    return [
+        (
+            HeisenbergParams(*rng.uniform(-3.0, 3.0, 5)),
+            float(rng.uniform(beta_low, beta_high)),
+            float(rng.uniform(0.0, math.pi)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _oracle_averages(cases, grid: QuadratureGrid) -> list:
+    """The quadrature oracle's ``average_all`` of every (params, beta, phi)
+    case."""
+    return [average_all(thermal_state(p, 1.0 / beta).rho, phi, grid) for p, beta, phi in cases]
+
+
 def reconcile_conventions(
     case_count: int = 200,
     seed: int = 20260810,
@@ -402,16 +421,8 @@ def reconcile_conventions(
     if case_count < 100:
         raise ValueError("reconciliation needs at least 100 cases")
     rng = np.random.default_rng(seed)
-    cases = [_SINGLET_CASE, _XXX_FIELD_CASE]
-    while len(cases) < case_count:
-        p = HeisenbergParams(*rng.uniform(-3.0, 3.0, 5))
-        beta = float(rng.uniform(0.05, 20.0))
-        phi = float(rng.uniform(0.0, math.pi))
-        cases.append((p, beta, phi))
-
-    oracles = [
-        average_all(thermal_state(p, 1.0 / beta).rho, phi, grid) for p, beta, phi in cases
-    ]
+    cases = [_SINGLET_CASE, _XXX_FIELD_CASE, *_random_cases(rng, case_count - 2, 0.05)]
+    oracles = _oracle_averages(cases, grid)
     table = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
     errors = {m.name: float(table[:, k].max()) for k, m in enumerate(CANDIDATE_MAPPINGS)}
 

@@ -53,36 +53,42 @@ ENGINES = ("oracle", "closed", "both")
 
 def _params_for(model: str, values: dict):
     """Raw couplings plus the model-native parameter dict for one point.
-    ``values`` has canonical keys and float values; any kt is ignored."""
-    if model == "ising":
-        q = XYFieldParams(lam=values["lam"], zeta=1.0)
-        return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-    if model == "xx":
-        q = XYFieldParams(lam=values["lam"], zeta=0.0)
-        return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-    if model == "xy":
-        q = XYFieldParams(lam=values["lam"], zeta=values.get("zeta", 0.5))
-        return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-    if model == "xxx":
-        q = XXZFieldParams(values["bigj"], 1.0, values["field"])
-        return from_xxz_field(q), {
-            "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
-        }
-    if model == "xxz":
-        q = XXZFieldParams(values["bigj"], values["delta"], values["field"])
-        return from_xxz_field(q), {
-            "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
-        }
-    if model == "raw":
-        p = HeisenbergParams(
-            jx=values.get("jx", 0.0),
-            jy=values.get("jy", 0.0),
-            jz=values.get("jz", 0.0),
-            ha=values.get("ha", 0.0),
-            hb=values.get("hb", 0.0),
-        )
-        return p, {}
-    raise ValueError(f"unknown model {model!r}")
+    ``values`` has canonical keys and float values; any kt is ignored.
+    A parameter the model needs and ``values`` lacks raises ValueError."""
+    try:
+        if model == "ising":
+            q = XYFieldParams(lam=values["lam"], zeta=1.0)
+            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
+        if model == "xx":
+            q = XYFieldParams(lam=values["lam"], zeta=0.0)
+            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
+        if model == "xy":
+            q = XYFieldParams(lam=values["lam"], zeta=values.get("zeta", 0.5))
+            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
+        if model == "xxx":
+            q = XXZFieldParams(values["bigj"], 1.0, values["field"])
+            return from_xxz_field(q), {
+                "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
+            }
+        if model == "xxz":
+            q = XXZFieldParams(values["bigj"], values["delta"], values["field"])
+            return from_xxz_field(q), {
+                "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
+            }
+        if model == "raw":
+            couplings = {k: values.get(k, 0.0) for k in ("jx", "jy", "jz", "ha", "hb")}
+            return HeisenbergParams(**couplings), {}
+        raise ValueError(f"unknown model {model!r}")
+    except KeyError as exc:
+        raise ValueError(f"model {model!r} needs a value for {exc.args[0]}") from None
+
+
+# the sweep variables besides kt that each model reads: ising and xx pin
+# zeta, xxx pins delta, and raw's couplings are no sweep variable
+_MODEL_SWEEPS = {
+    "ising": ("lam",), "xx": ("lam",), "xy": ("lam",),
+    "xxx": ("bigj",), "xxz": ("bigj", "delta"), "raw": (),
+}
 
 
 _KEY_ALIASES = {"lambda": "lam", "kT": "kt", "j": "bigj", "h": "field"}
@@ -196,16 +202,6 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     )
 
 
-def _closed_points(params, kts, mapping: ConventionMapping) -> list:
-    """Closed-engine optima of a batch of points as (deterministic,
-    probabilistic) results; every closed form runs once on the batch."""
-    betas = 1.0 / np.asarray(kts, dtype=float)
-    return list(zip(
-        reconciled_det_optimal(params, betas, mapping),
-        reconciled_prob_optimal(params, betas, mapping),
-    ))
-
-
 def _record(model, p, native, kt, engine, det, prob) -> SweepRecord:
     """The record of one point's two optima; a family is reported by its
     + set."""
@@ -241,7 +237,12 @@ def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
     """
     if not points:
         return []
-    optima = _closed_points([p for _, p, _, _ in points], [kt for *_, kt in points], mapping)
+    params = [p for _, p, _, _ in points]
+    betas = 1.0 / np.asarray([kt for *_, kt in points], dtype=float)
+    optima = zip(
+        reconciled_det_optimal(params, betas, mapping),
+        reconciled_prob_optimal(params, betas, mapping),
+    )
     checked = [r for r in oracle if r is not None]
     rates = iter(reconciled_pair_rate(
         [r.params for r in checked],
@@ -331,16 +332,26 @@ def run_sweeps(specs) -> list:
     The oracle half calls ``evaluate_point`` once per point.  The closed
     half of every spec (engine "closed", and the check of engine "both")
     runs in one pass over all their points, so the curves of a figure
-    panel share one batch.
+    panel share one batch.  A spec whose model lacks a parameter, or does
+    not read or pins the swept variable, raises ValueError before any
+    point is evaluated.
     """
     specs = list(specs)
+    grids = [_grid_points(spec) for spec in specs]
+    for spec, grid in zip(specs, grids):
+        sweepable = _MODEL_SWEEPS[spec.model]
+        if spec.swept != "kt" and spec.swept not in sweepable:
+            raise ValueError(
+                f"model {spec.model!r} cannot sweep {spec.swept}; "
+                f"it sweeps {', '.join(('kt',) + sweepable)}"
+            )
+        _params_for(spec.model, grid[0][0])  # every point has the same keys
     mapping = None
     if any(spec.engine != "oracle" for spec in specs):
         mapping = _resolve_mapping("closed")
     runs = []  # per spec: its oracle records, or None per point
     points, oracle = [], []  # the closed half's points, all specs in turn
-    for spec in specs:
-        grid = _grid_points(spec)
+    for spec, grid in zip(specs, grids):
         if spec.engine == "closed":
             records = [None] * len(grid)
             # grid values are canonical floats already (SweepSpec)

@@ -109,6 +109,10 @@ def test_figure_subcommand(tmp_path, capsys):
         ["point", "--model", "xy", "--lambda", "0.7", "--zeta", "2", "--kt", "1"],
         ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
          "--from", "-1", "--to", "1", "--steps", "3"],
+        ["point", "--model", "xxz", "--kt", "0.5"],
+        ["sweep", "--model", "xy", "--var", "kt", "--from", "0.1", "--to", "1", "--steps", "3"],
+        ["sweep", "--model", "ising", "--lambda", "0.7", "--kt", "1", "--var", "delta",
+         "--from", "0", "--to", "1", "--steps", "3"],
     ],
 )
 def test_bad_physical_input_is_a_one_line_error(argv, capsys):

@@ -168,6 +168,52 @@ class TestRunSweep:
         assert r.prob_value >= r.det_value - 1e-10
 
 
+class TestModelInput:
+    @pytest.mark.parametrize(
+        "model, values, missing",
+        [
+            ("xxz", {"bigj": 1.0, "field": 4.0}, "delta"),
+            ("xy", {"zeta": 0.5}, "lam"),
+            ("xxx", {"bigj": 1.0}, "field"),
+        ],
+    )
+    def test_missing_parameter_is_named(self, model, values, missing):
+        with pytest.raises(ValueError, match=f"{model!r} needs a value for {missing}$"):
+            evaluate_point(model, values, 0.5, engine="oracle")
+        with pytest.raises(ValueError, match=f"{model!r} needs a value for {missing}$"):
+            run_sweep(SweepSpec(model, values, "kt", 0.1, 1.0, 3))
+
+    @pytest.mark.parametrize(
+        "model, fixed, swept",
+        [
+            ("ising", {"lam": 0.7}, "delta"),  # not read
+            ("xx", {"lam": 0.7}, "bigj"),  # not read
+            ("xxx", {"bigj": 1.0, "field": 8.0}, "delta"),  # pinned to 1
+            ("raw", {"jx": 1.0}, "lambda"),  # raw sweeps only kt
+        ],
+    )
+    def test_unusable_sweep_variable_is_rejected(self, model, fixed, swept):
+        with pytest.raises(ValueError, match=f"{model!r} cannot sweep"):
+            run_sweep(SweepSpec(model, {**fixed, "kt": 1.0}, swept, 0.0, 1.0, 3))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            SweepSpec("ising", {"lam": 0.7, "kt": 1.0}, "delta", 0.0, 1.0, 3),
+            SweepSpec("xxz", {"bigj": 1.0, "field": 4.0}, "kt", 0.1, 1.0, 3),
+        ],
+    )
+    def test_bad_spec_fails_before_any_point(self, bad, monkeypatch):
+        import thermotele.sweeps as sweeps
+
+        calls = []
+        monkeypatch.setattr(sweeps, "evaluate_point", lambda *args, **kw: calls.append(args))
+        good = SweepSpec("xx", {"lam": 0.7}, "kt", 0.1, 1.0, 3, engine="oracle")
+        with pytest.raises(ValueError):
+            run_sweeps([good, bad])
+        assert calls == []
+
+
 class TestCsvOutput:
     def test_byte_stable(self, tmp_path):
         spec = SweepSpec("ising", {"lam": 1.3}, "kt", 0.1, 1.0, 6, engine="closed")
@@ -233,23 +279,31 @@ class TestFigures:
         }
         assert len(branches) > 1  # optimal branch switches along the sweep
 
-    def test_engines_report_the_same_labels(self, tmp_path):
+    @staticmethod
+    def _compare_labels(engine, steps, outdir):
+        """Points whose labels under ``engine`` equal the closed engine's."""
         for fig in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7"):
-            reproduce_figure(fig, tmp_path / "closed", steps=6)
-            reproduce_figure(fig, tmp_path / "oracle", engine="oracle", steps=6)
+            reproduce_figure(fig, outdir / "closed", steps=steps)
+            reproduce_figure(fig, outdir / engine, engine=engine, steps=steps)
         compared = 0
-        for path in sorted((tmp_path / "closed").glob("*_*.csv")):
+        for path in sorted((outdir / "closed").glob("*_*.csv")):
             if path.stem.endswith("_success"):
                 continue
             closed = [row.split(",") for row in path.read_text().splitlines()]
-            oracle = [row.split(",") for row in (tmp_path / "oracle" / path.name)
-                      .read_text().splitlines()]
+            other = [row.split(",") for row in (outdir / engine / path.name)
+                     .read_text().splitlines()]
             # branch (and pair) columns: 5 and, for prob files, 7
             labels = [5, 7] if path.stem.endswith("_prob") else [5]
-            for c, o in zip(closed[1:], oracle[1:]):
+            for c, o in zip(closed[1:], other[1:]):
                 assert [c[k] for k in labels] == [o[k] for k in labels], (path.name, c[:4])
                 compared += 1
-        assert compared == 2 * 22 * 6
+        return compared
+
+    def test_engines_report_the_same_labels(self, tmp_path):
+        assert self._compare_labels("oracle", 6, tmp_path) == 2 * 22 * 6
+        # engine "both" checks only values against the closed forms, so its
+        # labels are compared here
+        assert self._compare_labels("both", 8, tmp_path / "both") == 2 * 22 * 8
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
