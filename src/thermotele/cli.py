@@ -22,6 +22,8 @@ from .sweeps import (
     SWEEP_VARIABLES,
     SweepSpec,
     evaluate_point,
+    model_keys,
+    reject_keys,
     reproduce_figure,
     run_sweep,
     validate,
@@ -139,15 +141,22 @@ def _apply_config(args, actions):
     return args
 
 
+def _check_model_flags(args, actions) -> None:
+    """Name by flag, all at once, the parameters the model needs and the
+    flags lack, and the flags it does not read.  A sweep's swept variable
+    counts as given, as ``--var NAME``."""
+    flags = {dest: actions[dest].option_strings[0] for dest in _fixed_from_args(args)}
+    if args.command == "sweep":
+        flags[actions[args.var].dest] = f"--var {args.var}"
+    missing, unread = model_keys(args.model, flags)
+    reject_keys(
+        args.model, [actions[k].option_strings[0] for k in missing], [flags[k] for k in unread]
+    )
+
+
 def _fixed_from_args(args) -> dict:
-    fixed = {}
-    for _, dest in _PARAM_FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            fixed[dest] = value
-    if args.kt is not None:
-        fixed["kt"] = args.kt
-    return fixed
+    dests = [dest for _, dest in _PARAM_FLAGS] + ["kt"]
+    return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
 
 
 def _cmd_point(args) -> int:
@@ -242,6 +251,8 @@ def main(argv=None) -> int:
             if getattr(args, dest) is None:
                 flag = actions[dest].option_strings[0]
                 raise ValueError(f"{args.command} needs {flag}, as a flag or in the config file")
+        if args.command in _REQUIRED:
+            _check_model_flags(args, actions)
         return handler(args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

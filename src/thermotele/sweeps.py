@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -43,59 +44,78 @@ from .teleport import CorrectionLabel
 CSV_SCHEMA_VERSION = 1
 CLASSICAL_LIMIT = 2.0 / 3.0
 
-MODELS = ("ising", "xx", "xy", "xxx", "xxz", "raw")
 SWEEP_VARIABLES = ("kt", "lambda", "bigj", "delta")
 ENGINES = ("oracle", "closed", "both")
 
 # ---------------------------------------------------------------------------
 # model parameter resolution
 
-
-def _params_for(model: str, values: dict):
-    """Raw couplings plus the model-native parameter dict for one point.
-    ``values`` has canonical keys and float values; any kt is ignored.
-    A parameter the model needs and ``values`` lacks raises ValueError."""
-    try:
-        if model == "ising":
-            q = XYFieldParams(lam=values["lam"], zeta=1.0)
-            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-        if model == "xx":
-            q = XYFieldParams(lam=values["lam"], zeta=0.0)
-            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-        if model == "xy":
-            q = XYFieldParams(lam=values["lam"], zeta=values.get("zeta", 0.5))
-            return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
-        if model == "xxx":
-            q = XXZFieldParams(values["bigj"], 1.0, values["field"])
-            return from_xxz_field(q), {
-                "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
-            }
-        if model == "xxz":
-            q = XXZFieldParams(values["bigj"], values["delta"], values["field"])
-            return from_xxz_field(q), {
-                "bigj": q.exchange_j, "delta": q.delta, "field": q.field_h,
-            }
-        if model == "raw":
-            couplings = {k: values.get(k, 0.0) for k in ("jx", "jy", "jz", "ha", "hb")}
-            return HeisenbergParams(**couplings), {}
-        raise ValueError(f"unknown model {model!r}")
-    except KeyError as exc:
-        raise ValueError(f"model {model!r} needs a value for {exc.args[0]}") from None
-
-
-# the sweep variables besides kt that each model reads: ising and xx pin
-# zeta, xxx pins delta, and raw's couplings are no sweep variable
-_MODEL_SWEEPS = {
-    "ising": ("lam",), "xx": ("lam",), "xy": ("lam",),
-    "xxx": ("bigj",), "xxz": ("bigj", "delta"), "raw": (),
-}
-
-
 _KEY_ALIASES = {"lambda": "lam", "kT": "kt", "j": "bigj", "h": "field"}
 
 
 def _canonical_key(key: str) -> str:
     return _KEY_ALIASES.get(key, key)
+
+
+_SWEPT = tuple(map(_canonical_key, SWEEP_VARIABLES))
+
+
+# per model: its coupling family ("xy", "xxz" or "raw"), the parameters it
+# reads besides kt, and the defaults of read parameters and pinned values
+# of the rest
+ModelParams = namedtuple("ModelParams", "family reads preset")
+_RAW_COUPLINGS = ("jx", "jy", "jz", "ha", "hb")
+MODEL_PARAMS = {
+    "ising": ModelParams("xy", ("lam",), {"zeta": 1.0}),
+    "xx": ModelParams("xy", ("lam",), {"zeta": 0.0}),
+    "xy": ModelParams("xy", ("lam", "zeta"), {"zeta": 0.5}),
+    "xxx": ModelParams("xxz", ("bigj", "field"), {"delta": 1.0}),
+    "xxz": ModelParams("xxz", ("bigj", "delta", "field"), {}),
+    "raw": ModelParams("raw", _RAW_COUPLINGS, dict.fromkeys(_RAW_COUPLINGS, 0.0)),
+}
+MODELS = tuple(MODEL_PARAMS)
+
+
+def model_keys(model: str, keys) -> tuple:
+    """(missing, unread): the parameters ``model`` needs and ``keys``
+    lacks, in table order, and the keys besides kt it does not read,
+    pinned ones included, in the order given."""
+    if model not in MODEL_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    _, reads, preset = MODEL_PARAMS[model]
+    missing = [k for k in reads if k not in preset and k not in keys]
+    return missing, [k for k in keys if k != "kt" and k not in reads]
+
+
+def reject_keys(model: str, missing, unread) -> None:
+    """Raise the one-line ValueError for :func:`model_keys`' result, each
+    key named as the caller names it, unless both lists are empty."""
+
+    def listed(names):
+        return f"{', '.join(names[:-1])} and {names[-1]}" if len(names) > 1 else names[0]
+
+    parts = []
+    if missing:
+        parts.append(f"needs {'a value' if len(missing) == 1 else 'values'} for {listed(missing)}")
+    if unread:
+        parts.append(f"does not read {listed(unread)}")
+    if parts:
+        raise ValueError(f"model {model!r} " + "; it ".join(parts))
+
+
+def _params_for(model: str, values: dict):
+    """Raw couplings plus the model-native parameter dict for one point.
+    ``values`` has canonical keys that :func:`model_keys` accepts and
+    float values; any kt is ignored."""
+    family, reads, preset = MODEL_PARAMS[model]
+    v = {**preset, **values}
+    if family == "xy":
+        q = XYFieldParams(lam=v["lam"], zeta=v["zeta"])
+        return from_xy_field(q), {"lam": q.lam, "zeta": q.zeta}
+    if family == "xxz":
+        q = XXZFieldParams(v["bigj"], v["delta"], v["field"])
+        return from_xxz_field(q), {"bigj": q.exchange_j, "delta": q.delta, "field": q.field_h}
+    return HeisenbergParams(**{k: v[k] for k in reads}), {}
 
 
 @dataclass(frozen=True)
@@ -118,7 +138,7 @@ class SweepSpec:
         object.__setattr__(self, "swept", _canonical_key(self.swept))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.swept not in SWEEP_VARIABLES and self.swept != "lam":
+        if self.swept not in _SWEPT:
             raise ValueError(f"unknown sweep variable {self.swept!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
@@ -268,9 +288,7 @@ def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
     return records
 
 
-def _resolve_mapping(engine: str):
-    if engine == "oracle":
-        return None
+def _resolve_mapping():
     try:
         return default_mapping()
     except RuntimeError as exc:
@@ -291,9 +309,11 @@ def evaluate_point(
         raise ValueError(f"unknown engine {engine!r}")
     if not kt > 0.0:
         raise ValueError(f"kT must be positive, got {kt}")
+    values = {_canonical_key(k): float(v) for k, v in values.items()}
+    reject_keys(model, *model_keys(model, values))
     if mapping is None and engine != "oracle":
-        mapping = _resolve_mapping(engine)
-    p, native = _params_for(model, {_canonical_key(k): float(v) for k, v in values.items()})
+        mapping = _resolve_mapping()
+    p, native = _params_for(model, values)
     if engine == "closed":
         return _closed_records([(model, p, native, kt)], [None], mapping)[0]
     record = _record(model, p, native, kt, "oracle", *_oracle_point(p, kt, grid))
@@ -304,16 +324,9 @@ def evaluate_point(
 
 def _grid_points(spec: SweepSpec) -> list:
     """(values, kt) of every grid point, ordered by the swept value."""
-    points = []
-    for x in spec.grid_values():
-        values = dict(spec.fixed)
-        if spec.swept == "kt":
-            kt = float(x)
-        else:
-            kt = float(values["kt"])
-            values[spec.swept] = float(x)
-        points.append((values, kt))
-    return points
+    if spec.swept == "kt":
+        return [(dict(spec.fixed), float(x)) for x in spec.grid_values()]
+    return [({**spec.fixed, spec.swept: float(x)}, spec.fixed["kt"]) for x in spec.grid_values()]
 
 
 def run_sweep(spec: SweepSpec):
@@ -332,23 +345,23 @@ def run_sweeps(specs) -> list:
     The oracle half calls ``evaluate_point`` once per point.  The closed
     half of every spec (engine "closed", and the check of engine "both")
     runs in one pass over all their points, so the curves of a figure
-    panel share one batch.  A spec whose model lacks a parameter, or does
-    not read or pins the swept variable, raises ValueError before any
-    point is evaluated.
+    panel share one batch.  A spec whose model lacks a parameter, does not
+    read a fixed one, or does not read or pins the swept variable, raises
+    ValueError before any point is evaluated.
     """
     specs = list(specs)
-    grids = [_grid_points(spec) for spec in specs]
-    for spec, grid in zip(specs, grids):
-        sweepable = _MODEL_SWEEPS[spec.model]
-        if spec.swept != "kt" and spec.swept not in sweepable:
+    for spec in specs:
+        sweepable = ("kt", *(k for k in MODEL_PARAMS[spec.model].reads if k in _SWEPT))
+        if spec.swept not in sweepable:
             raise ValueError(
                 f"model {spec.model!r} cannot sweep {spec.swept}; "
-                f"it sweeps {', '.join(('kt',) + sweepable)}"
+                f"it sweeps {', '.join(sweepable)}"
             )
-        _params_for(spec.model, grid[0][0])  # every point has the same keys
+        reject_keys(spec.model, *model_keys(spec.model, {**spec.fixed, spec.swept: None}))
+    grids = [_grid_points(spec) for spec in specs]
     mapping = None
     if any(spec.engine != "oracle" for spec in specs):
-        mapping = _resolve_mapping("closed")
+        mapping = _resolve_mapping()
     runs = []  # per spec: its oracle records, or None per point
     points, oracle = [], []  # the closed half's points, all specs in turn
     for spec, grid in zip(specs, grids):
@@ -418,74 +431,38 @@ def write_sweep_csv(records, path) -> None:
 # figure reproduction
 
 
-@dataclass(frozen=True)
-class _Panel:
-    prefix: str
-    spec: SweepSpec
-    curve_key: str  # the fixed parameter distinguishing curves
-    curve_values: tuple
-    x_name: str
-
-
-def _figure_panels(fig_id: str, engine: str, steps: int):
-    kt_xy = dict(swept="kt", start=0.05, stop=3.0, steps=steps, engine=engine)
-    kt_xxz = dict(swept="kt", start=0.05, stop=10.0, steps=steps, engine=engine)
-    if fig_id == "fig2":
-        return [_Panel("ising", SweepSpec("ising", {}, **kt_xy), "lam", (0.7, 1.3), "kt")]
-    if fig_id == "fig3":
-        return [_Panel("xx", SweepSpec("xx", {}, **kt_xy), "lam", (0.7, 1.3), "kt")]
-    if fig_id == "fig4":
-        return [_Panel(
-            "xy", SweepSpec("xy", {"zeta": 0.5}, **kt_xy), "lam", (0.7, 1.3), "kt"
-        )]
-    if fig_id == "fig5":
-        return [_Panel(
-            "xxx", SweepSpec("xxx", {"field": 8.0}, **kt_xxz),
-            "bigj", (0.5, 1.5, 2.0), "kt",
-        )]
-    if fig_id == "fig6":
-        # the below-critical curve sits at small |Delta|, where only the
-        # probabilistic protocol beats the classical limit
-        return [_Panel(
-            "xxz", SweepSpec("xxz", {"field": 4.0, "bigj": 1.0}, **kt_xxz),
-            "delta", (-0.1, 1.0, 2.0), "kt",
-        )]
-    if fig_id == "fig7":
-        lam = dict(swept="lambda", start=0.02, stop=2.5, steps=steps, engine=engine)
-        return [
-            _Panel("ising_lambda", SweepSpec("ising", {"kt": 1.0}, **lam),
-                   "kt", (0.1, 0.3), "lam"),
-            _Panel("xx_lambda", SweepSpec("xx", {"kt": 1.0}, **lam),
-                   "kt", (0.1, 0.3), "lam"),
-            _Panel("xy_lambda", SweepSpec("xy", {"kt": 1.0, "zeta": 0.5}, **lam),
-                   "kt", (0.1, 0.3), "lam"),
-            _Panel("xxx_bigj",
-                   SweepSpec("xxx", {"kt": 1.0, "field": 8.0}, swept="bigj",
-                             start=0.05, stop=2.5, steps=steps, engine=engine),
-                   "kt", (0.1, 1.0), "bigj"),
-            _Panel("xxz_delta",
-                   SweepSpec("xxz", {"kt": 1.0, "field": 4.0, "bigj": 1.0},
-                             swept="delta", start=-2.0, stop=3.0, steps=steps,
-                             engine=engine),
-                   "kt", (0.1, 1.0), "delta"),
-        ]
-    raise ValueError(f"unknown figure id {fig_id!r}")
-
-
-# parameters the source figures state explicitly; everything else emitted
-# under "implementer_chosen" in the metadata
-_FIGURE_STATED = {
-    "fig2": {"model": "ising", "lam": [0.7, 1.3]},
-    "fig3": {"model": "xx"},
-    "fig4": {"model": "xy"},
-    "fig5": {"model": "xxx", "field": 8.0},
-    "fig6": {"model": "xxz", "field": 4.0, "bigj": 1.0},
-    "fig7": {"kt_xy_family": [0.1, 0.3], "kt_xxz_family": [0.1, 1.0]},
+# per figure: the parameters the source figure states explicitly (the
+# metadata lists everything else under "implementer_chosen"), and its
+# panels as (prefix, model, fixed values, swept variable, start, stop,
+# curve key, curve values)
+_KT_XY, _KT_XXZ = ("kt", 0.05, 3.0), ("kt", 0.05, 10.0)
+_FIGURES = {
+    "fig2": ({"model": "ising", "lam": [0.7, 1.3]}, [
+        ("ising", "ising", {}, *_KT_XY, "lam", (0.7, 1.3)),
+    ]),
+    "fig3": ({"model": "xx"}, [("xx", "xx", {}, *_KT_XY, "lam", (0.7, 1.3))]),
+    "fig4": ({"model": "xy"}, [("xy", "xy", {"zeta": 0.5}, *_KT_XY, "lam", (0.7, 1.3))]),
+    "fig5": ({"model": "xxx", "field": 8.0}, [
+        ("xxx", "xxx", {"field": 8.0}, *_KT_XXZ, "bigj", (0.5, 1.5, 2.0)),
+    ]),
+    # the below-critical curve sits at small |Delta|, where only the
+    # probabilistic protocol beats the classical limit
+    "fig6": ({"model": "xxz", "field": 4.0, "bigj": 1.0}, [
+        ("xxz", "xxz", {"field": 4.0, "bigj": 1.0}, *_KT_XXZ, "delta", (-0.1, 1.0, 2.0)),
+    ]),
+    "fig7": ({"kt_xy_family": [0.1, 0.3], "kt_xxz_family": [0.1, 1.0]}, [
+        ("ising_lambda", "ising", {"kt": 1.0}, "lam", 0.02, 2.5, "kt", (0.1, 0.3)),
+        ("xx_lambda", "xx", {"kt": 1.0}, "lam", 0.02, 2.5, "kt", (0.1, 0.3)),
+        ("xy_lambda", "xy", {"kt": 1.0, "zeta": 0.5}, "lam", 0.02, 2.5, "kt", (0.1, 0.3)),
+        ("xxx_bigj", "xxx", {"kt": 1.0, "field": 8.0}, "bigj", 0.05, 2.5, "kt", (0.1, 1.0)),
+        ("xxz_delta", "xxz", {"kt": 1.0, "field": 4.0, "bigj": 1.0},
+         "delta", -2.0, 3.0, "kt", (0.1, 1.0)),
+    ]),
 }
 
-
-def _swept_value(record: SweepRecord, x_name: str) -> float:
-    return record.kt if x_name == "kt" else record.native[x_name]
+# a figure panel: its curves are ``spec`` at each of ``curve_values`` of
+# the fixed parameter ``curve_key``
+_Panel = namedtuple("_Panel", "prefix spec curve_key curve_values")
 
 
 def _write_curve_csvs(outdir: Path, panel: _Panel, curves) -> list:
@@ -493,10 +470,11 @@ def _write_curve_csvs(outdir: Path, panel: _Panel, curves) -> list:
     det = ["schema_version,curve,x_name,x,value,branch,phi"]
     prob = ["schema_version,curve,x_name,x,value,branch,phi,pair"]
     succ = ["schema_version,curve,x_name,x,value,pair"]
+    swept = panel.spec.swept
     for label, records in curves:
         for r in records:
-            x = _swept_value(r, panel.x_name)
-            head = f"{CSV_SCHEMA_VERSION},{label},{panel.x_name},{x:.17g}"
+            x = r.kt if swept == "kt" else r.native[swept]
+            head = f"{CSV_SCHEMA_VERSION},{label},{swept},{x:.17g}"
             det.append(f"{head},{r.det_value:.17g},{r.det_set},{r.det_phi:.17g}")
             prob.append(
                 f"{head},{r.prob_value:.17g},{r.prob_set},{r.prob_phi:.17g},{r.prob_pair}"
@@ -527,7 +505,7 @@ def _gnuplot_script(fig_id: str, panels, curve_labels) -> str:
         labels = curve_labels[panel.prefix]
         lines += [
             f"set title '{panel.prefix}'",
-            f"set xlabel '{panel.x_name}'",
+            f"set xlabel '{panel.spec.swept}'",
             "set ylabel 'efficiency'",
         ]
         plot_parts = []
@@ -551,9 +529,15 @@ def reproduce_figure(fig_id: str, outdir, engine: str = "closed", steps: int = 6
     metadata file separating parameters stated by the source figure from
     implementer-chosen ones.  Returns the list of written paths.
     """
+    if fig_id not in _FIGURES:
+        raise ValueError(f"unknown figure id {fig_id!r}")
+    stated, table = _FIGURES[fig_id]
+    panels = [
+        _Panel(prefix, SweepSpec(model, fixed, swept, start, stop, steps, engine), key, values)
+        for prefix, model, fixed, swept, start, stop, key, values in table
+    ]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    panels = _figure_panels(fig_id, engine, steps)
     written = []
     curve_labels = {}
     implementer_chosen = {}
@@ -575,7 +559,7 @@ def reproduce_figure(fig_id: str, outdir, engine: str = "closed", steps: int = 6
             "curve_values": list(panel.curve_values),
             "x_range": [panel.spec.start, panel.spec.stop],
             "steps": panel.spec.steps,
-            **{k: v for k, v in panel.spec.fixed.items()},
+            **panel.spec.fixed,
         }
         written.extend(_write_curve_csvs(outdir, panel, curves))
 
@@ -593,7 +577,7 @@ def reproduce_figure(fig_id: str, outdir, engine: str = "closed", steps: int = 6
                 "schema_version": CSV_SCHEMA_VERSION,
                 "tool_version": _version.__version__,
                 "engine": engine,
-                "stated_by_source": _FIGURE_STATED[fig_id],
+                "stated_by_source": stated,
                 "implementer_chosen": implementer_chosen,
             },
             indent=2,

@@ -113,15 +113,47 @@ def test_figure_subcommand(tmp_path, capsys):
         ["sweep", "--model", "xy", "--var", "kt", "--from", "0.1", "--to", "1", "--steps", "3"],
         ["sweep", "--model", "ising", "--lambda", "0.7", "--kt", "1", "--var", "delta",
          "--from", "0", "--to", "1", "--steps", "3"],
+        # values the model does not read, or pins
+        ["point", "--model", "xxx", "--bigj", "1", "--field", "8", "--delta", "0.3", "--kt", "1"],
+        ["point", "--model", "ising", "--lambda", "0.7", "--zeta", "0.2", "--kt", "1"],
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--field", "4", "--var", "kt",
+         "--from", "0.1", "--to", "1", "--steps", "3"],
+        # the text after --config is written to the config file
+        ["point", "--config", "model = xxx\nbigj = 1\nfield = 8\ndelta = 0.3\nkt = 1\n"],
     ],
 )
-def test_bad_physical_input_is_a_one_line_error(argv, capsys):
+def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
+    if "--config" in argv:
+        config = tmp_path / "run.cfg"
+        config.write_text(argv[-1])
+        argv = [*argv[:-1], str(config)]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("thermotele: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["point", "--model", "xxz", "--kt", "0.5"],
+         "model 'xxz' needs values for --bigj, --delta and --field"),
+        (["point", "--model", "ising", "--kt", "0.5"], "model 'ising' needs a value for --lambda"),
+        (["point", "--model", "raw", "--jx", "1", "--lambda", "0.7", "--kt", "1"],
+         "model 'raw' does not read --lambda"),
+        (["sweep", "--model", "xxx", "--bigj", "1", "--kt", "1", "--var", "delta",
+          "--from", "0", "--to", "1", "--steps", "3"],
+         "model 'xxx' needs a value for --field; it does not read --var delta"),
+    ],
+    ids=("xxz-missing", "ising-missing", "raw-unread", "xxx-sweep"),
+)
+def test_model_errors_name_every_flag(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"thermotele: error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,30 @@ class TestModelInput:
             run_sweep(SweepSpec(model, values, "kt", 0.1, 1.0, 3))
 
     @pytest.mark.parametrize(
+        "model, values, unread",
+        [
+            ("xxx", {"bigj": 1.0, "field": 8.0, "delta": 0.3}, "delta"),  # pinned to 1
+            ("ising", {"lam": 0.7, "zeta": 0.2}, "zeta"),  # pinned to 1
+            ("raw", {"jx": 1.0, "lam": 0.7}, "lam"),
+            ("xx", {"lam": 0.7, "field": 4.0}, "field"),
+        ],
+    )
+    def test_unread_parameter_is_rejected(self, model, values, unread):
+        # a value the model does not read was once evaluated with the pinned
+        # or default value instead
+        message = f"model {model!r} does not read {unread}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_point(model, values, 0.5, engine="oracle")
+        with pytest.raises(ValueError, match=message):
+            run_sweep(SweepSpec(model, values, "kt", 0.1, 1.0, 3))
+
+    def test_every_missing_and_unread_key_is_named(self):
+        with pytest.raises(
+            ValueError, match="'xxx' needs values for bigj and field; it does not read delta$"
+        ):
+            evaluate_point("xxx", {"delta": 1.0}, 0.5)
+
+    @pytest.mark.parametrize(
         "model, fixed, swept",
         [
             ("ising", {"lam": 0.7}, "delta"),  # not read
@@ -201,6 +225,7 @@ class TestModelInput:
         [
             SweepSpec("ising", {"lam": 0.7, "kt": 1.0}, "delta", 0.0, 1.0, 3),
             SweepSpec("xxz", {"bigj": 1.0, "field": 4.0}, "kt", 0.1, 1.0, 3),
+            SweepSpec("xx", {"lam": 0.7, "delta": 3.0}, "kt", 0.1, 1.0, 3),
         ],
     )
     def test_bad_spec_fails_before_any_point(self, bad, monkeypatch):
