@@ -267,19 +267,13 @@ def check_figure2_quantitative() -> CheckResult:
     ok_eff = p07.prob_value >= 0.99
     ok_07 = 0.07 <= p07.success_rate <= 0.13
     ok_13 = 0.25 <= p13.success_rate <= 0.35
-    err = 0.0
-    if not ok_eff:
-        err = max(err, 0.99 - p07.prob_value)
-    if not ok_07:
-        err = max(
-            err,
-            max(0.07 - p07.success_rate, p07.success_rate - 0.13),
-        )
-    if not ok_13:
-        err = max(
-            err,
-            max(0.25 - p13.success_rate, p13.success_rate - 0.35),
-        )
+    # each term is positive only where its bound is missed
+    err = max(
+        0.0,
+        0.99 - p07.prob_value,
+        0.07 - p07.success_rate, p07.success_rate - 0.13,
+        0.25 - p13.success_rate, p13.success_rate - 0.35,
+    )
     return CheckResult(
         "figure2_quantitative",
         ok_eff and ok_07 and ok_13,

@@ -101,13 +101,11 @@ class AveragedQuantities:
     defined: np.ndarray
 
 
-def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray):
-    """Kets and pure density matrices for a batch of input coordinates."""
+def _state_batch(alpha_sq: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Input kets, one row per input coordinate pair."""
     a = np.sqrt(alpha_sq)
     b = np.sqrt(1.0 - alpha_sq) * np.exp(1j * gamma)
-    kets = np.stack([a.astype(complex), b], axis=1)
-    rho = np.einsum("ai,aj->aij", kets, kets.conj())
-    return kets, rho
+    return np.stack([a.astype(complex), b], axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -127,7 +125,7 @@ def _oracle_maps(grid: QuadratureGrid):
     a2, wa = grid.alpha_nodes()
     g, wg = grid.gamma_nodes()
     weights = np.outer(wa, wg).ravel()
-    kets, _ = _state_batch(np.repeat(a2, grid.n_gamma), np.tile(g, grid.n_alpha))
+    kets = _state_batch(np.repeat(a2, grid.n_gamma), np.tile(g, grid.n_alpha))
     bra = kets.conj()
     second = np.einsum("a,ak,am->km", weights, kets, bra)
     fourth = np.einsum("a,ak,am,ax,ay->kmxy", weights, kets, bra, bra, kets)
@@ -182,7 +180,6 @@ class HarmonicAverages:
     """
 
     def __init__(self, channel, grid: QuadratureGrid = DEFAULT_GRID):
-        self.grid = grid
         q_map, joint_map = _oracle_maps(grid)
         rho = channel_matrix(channel)
         stack = rho.shape[:-2]

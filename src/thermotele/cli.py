@@ -1,9 +1,12 @@
-"""Command-line interface: point evaluations, sweeps, figures, validation.
+"""Command-line interface: point evaluations, sweeps, figures, validation,
+critical points.
 
-Every subcommand also accepts ``--config FILE`` with ``key = value`` lines
-(keys named like the long flags); explicit flags win over the file.  A
-value a subcommand needs may come from either, so it is checked only once
-the file has been read.
+``point``, ``sweep``, ``figure`` and ``validate`` also accept ``--config
+FILE`` with ``key = value`` lines (keys named like the long flags);
+explicit flags win over the file.  A value a subcommand needs may come
+from either, so it is checked only once the file has been read.  Every
+error, argparse's own included, is one ``thermotele: error:`` line with
+exit status 2.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import _version
-from .spin_models import critical_point
+from .spin_models import CRITICAL_PARAMS, critical_keys, critical_point, reject_keys
 from .sweeps import (
     ENGINES,
     MODELS,
@@ -23,7 +26,6 @@ from .sweeps import (
     SweepSpec,
     evaluate_point,
     model_keys,
-    reject_keys,
     reproduce_figure,
     run_sweep,
     validate,
@@ -48,12 +50,18 @@ def _add_common(parser):
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file supplying flag defaults")
     parser.add_argument("--engine", choices=ENGINES, default="closed")
-    parser.add_argument("--seed", type=int, default=20260810)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports its own errors as one line; sub-parsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"thermotele: error: {message}\n")
 
 
 def build_parser():
     """Returns (parser, {command: subparser}) for default lookups."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermotele",
         description="Teleportation efficiencies through thermal two-qubit "
                     "Heisenberg channels",
@@ -83,13 +91,15 @@ def build_parser():
 
     p_val = sub.add_parser("validate", help="run the acceptance battery")
     _add_common(p_val)
+    p_val.add_argument("--seed", type=int, default=20260810)
     p_val.add_argument("--cases", type=int, default=200)
     p_val.add_argument("--out", type=Path, default=None, help="JSON report path")
 
     p_crit = sub.add_parser("critical", help="locate a ground-level crossing")
-    p_crit.add_argument("model", choices=["xy", "xxx_field", "xxz_field"])
-    p_crit.add_argument("--field", type=float, default=None)
-    p_crit.add_argument("--bigj", type=float, default=None)
+    p_crit.add_argument("model", choices=CRITICAL_PARAMS)
+    # stored under critical_point's keywords
+    p_crit.add_argument("--field", dest="field_h", metavar="FIELD", type=float, default=None)
+    p_crit.add_argument("--bigj", dest="exchange_j", metavar="BIGJ", type=float, default=None)
 
     commands = {
         "point": p_point, "sweep": p_sweep, "figure": p_fig,
@@ -106,15 +116,16 @@ _REQUIRED = {"point": ("model", "kt"), "sweep": ("model", "var", "start", "stop"
 def _apply_config(args, actions):
     """Fill flag values from the config file wherever the flag kept its
     parser default (explicit flags therefore win).  Each value is parsed
-    with its flag's own type and checked against its choices; a bad file
-    raises ValueError."""
+    with its flag's own type and checked against its choices; a bad file,
+    or one that gives a value twice (``lam`` and ``lambda``), raises
+    ValueError."""
     if getattr(args, "config", None) is None:
         return args
     try:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from None
-    values = {}
+    entries = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,11 +133,15 @@ def _apply_config(args, actions):
         if "=" not in line:
             raise ValueError(f"config line not of form key=value: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    for key, value in values.items():
+        entries.append((key.replace("-", "_"), value))
+    given = set()
+    for key, value in entries:
         action = actions.get(key)
         if action is None or not hasattr(args, action.dest):
             raise ValueError(f"unknown config key {key!r}")
+        if action.dest in given:
+            raise ValueError(f"config key {key!r} repeats a value the file already gives")
+        given.add(action.dest)
         if getattr(args, action.dest) != action.default:
             continue
         try:
@@ -144,10 +159,13 @@ def _apply_config(args, actions):
 def _check_model_flags(args, actions) -> None:
     """Name by flag, all at once, the parameters the model needs and the
     flags lack, and the flags it does not read.  A sweep's swept variable
-    counts as given, as ``--var NAME``."""
+    counts as given, as ``--var NAME``, and may not also have its flag."""
     flags = {dest: actions[dest].option_strings[0] for dest in _fixed_from_args(args)}
     if args.command == "sweep":
-        flags[actions[args.var].dest] = f"--var {args.var}"
+        swept = actions[args.var].dest
+        if swept in flags:
+            raise ValueError(f"{flags[swept]} fixes what --var {args.var} sweeps; give one of them")
+        flags[swept] = f"--var {args.var}"
     missing, unread = model_keys(args.model, flags)
     reject_keys(
         args.model, [actions[k].option_strings[0] for k in missing], [flags[k] for k in unread]
@@ -160,8 +178,8 @@ def _fixed_from_args(args) -> dict:
 
 
 def _cmd_point(args) -> int:
-    fixed = _fixed_from_args(args)
-    record = evaluate_point(args.model, fixed, fixed["kt"], engine=args.engine)
+    values = _fixed_from_args(args)
+    record = evaluate_point(args.model, values, values.pop("kt"), engine=args.engine)
     payload = asdict(record)
     payload["params"] |= payload.pop("native")
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -217,15 +235,20 @@ def _cmd_validate(args) -> int:
     return status
 
 
-# the flags each crossing needs
-_CRITICAL_FLAGS = {"xxx_field": ("--field",), "xxz_field": ("--bigj", "--field")}
+def _crossing_values(args) -> dict:
+    """The crossing parameters given, by ``critical_point``'s keywords."""
+    return {k: getattr(args, k) for k in ("field_h", "exchange_j") if getattr(args, k) is not None}
+
+
+def _check_critical_flags(args, actions) -> None:
+    """Name by flag the parameters the crossing needs and the flags it
+    does not read, as :func:`critical_point` names them by keyword."""
+    keys = critical_keys(args.model, _crossing_values(args))
+    reject_keys(args.model, *([actions[k].option_strings[0] for k in ks] for ks in keys))
 
 
 def _cmd_critical(args) -> int:
-    flags = _CRITICAL_FLAGS.get(args.model, ())
-    if any(getattr(args, flag[2:]) is None for flag in flags):
-        raise ValueError(f"critical {args.model} needs {' and '.join(flags)}")
-    value = critical_point(args.model, field_h=args.field, exchange_j=args.bigj)
+    value = critical_point(args.model, **_crossing_values(args))
     print(f"{value:.12f}")
     return 0
 
@@ -253,9 +276,11 @@ def main(argv=None) -> int:
                 raise ValueError(f"{args.command} needs {flag}, as a flag or in the config file")
         if args.command in _REQUIRED:
             _check_model_flags(args, actions)
+        if args.command == "critical":
+            _check_critical_flags(args, actions)
         return handler(args)
     except ValueError as exc:
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

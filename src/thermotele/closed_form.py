@@ -400,11 +400,7 @@ def _oracle_averages(cases, grid: QuadratureGrid) -> list:
     return [average_all(thermal_state(p, 1.0 / beta).rho, phi, grid) for p, beta, phi in cases]
 
 
-def reconcile_conventions(
-    case_count: int = 200,
-    seed: int = 20260810,
-    grid: QuadratureGrid = DEFAULT_GRID,
-) -> ReconciliationReport:
+def reconcile_conventions(case_count: int = 200, seed: int = 20260810) -> ReconciliationReport:
     """Select the symbol transformation under which the printed formulas
     reproduce the quadrature oracle.
 
@@ -422,7 +418,7 @@ def reconcile_conventions(
         raise ValueError("reconciliation needs at least 100 cases")
     rng = np.random.default_rng(seed)
     cases = [_SINGLET_CASE, _XXX_FIELD_CASE, *_random_cases(rng, case_count - 2, 0.05)]
-    oracles = _oracle_averages(cases, grid)
+    oracles = _oracle_averages(cases, DEFAULT_GRID)
     table = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
     errors = {m.name: float(table[:, k].max()) for k, m in enumerate(CANDIDATE_MAPPINGS)}
 

@@ -33,6 +33,29 @@ def _require_finite(**fields):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def require_temperature(kT) -> None:
+    """Reject a kT that is not positive or whose 1/kT overflows; kT = inf
+    (beta = 0) is valid."""
+    if not (kT > 0.0 and 1.0 / float(kT) < math.inf):
+        raise ValueError(f"temperature must be positive with a finite 1/kT, got kT = {kT}")
+
+
+def reject_keys(model: str, missing, unread) -> None:
+    """Raise one ValueError naming every missing and every unread key of
+    ``model``, each as the caller names it, unless both lists are empty."""
+
+    def listed(names):
+        return f"{', '.join(names[:-1])} and {names[-1]}" if len(names) > 1 else names[0]
+
+    parts = []
+    if missing:
+        parts.append(f"needs {'a value' if len(missing) == 1 else 'values'} for {listed(missing)}")
+    if unread:
+        parts.append(f"does not read {listed(unread)}")
+    if parts:
+        raise ValueError(f"model {model!r} " + "; it ".join(parts))
+
+
 @dataclass(frozen=True)
 class HeisenbergParams:
     """Raw couplings (jx, jy, jz) and on-site z fields (ha, hb)."""
@@ -44,7 +67,14 @@ class HeisenbergParams:
     hb: float = 0.0
 
     def __post_init__(self):
-        _require_finite(jx=self.jx, jy=self.jy, jz=self.jz, ha=self.ha, hb=self.hb)
+        # the largest energy gap, between sectors or within one, bounds
+        # every energy and gap either engine forms; it is finite only if
+        # every coupling is, so the fields are named only when it is not
+        jx, jy, ha, hb = self.jx, self.jy, self.ha, self.hb
+        eta, chi = math.hypot(jx - jy, ha + hb), math.hypot(ha - hb, jx + jy)
+        if not math.isfinite(max(2.0 * abs(self.jz) + eta + chi, 2.0 * max(eta, chi))):
+            _require_finite(jx=jx, jy=jy, jz=self.jz, ha=ha, hb=hb)
+            raise ValueError("couplings too large: their largest energy gap overflows")
 
     def derived(self) -> "DerivedParams":
         return DerivedParams.from_couplings(self.jx, self.jy, self.ha, self.hb)
@@ -232,8 +262,7 @@ def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
     The Boltzmann weights are computed against the ground energy, so
     arbitrarily low temperatures (beta up to ~1e3 and beyond) are safe.
     """
-    if not (kT > 0.0):
-        raise ValueError("temperature must be positive")
+    require_temperature(kT)
     beta = 1.0 / kT
     levels = block_spectrum(p)
     energies = np.array([lv.energy for lv in levels])
@@ -273,6 +302,21 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
+# the keyword arguments of critical_point each crossing reads
+CRITICAL_PARAMS = {"xy": (), "xxx_field": ("field_h",), "xxz_field": ("exchange_j", "field_h")}
+
+
+def critical_keys(model: str, keys) -> tuple:
+    """(needed, unread): every parameter the crossing of ``model`` reads
+    if ``keys`` lacks any of them (else none), and the keys it does not
+    read."""
+    if model not in CRITICAL_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    reads = CRITICAL_PARAMS[model]
+    needed = list(reads) if any(k not in keys for k in reads) else []
+    return needed, [k for k in keys if k not in reads]
+
+
 def critical_point(
     model: str,
     *,
@@ -287,19 +331,14 @@ def critical_point(
     model = "xxz_field" -> the Delta at which they cross, for the given
                            exchange_j and field_h.
 
-    Crossings are located by bisection on the sign of the ground-level gap
-    to 1e-10.
+    A parameter the crossing needs and lacks, or one it does not read
+    (``CRITICAL_PARAMS``), is a ValueError.  Crossings are located by
+    bisection on the sign of the ground-level gap to 1e-10.
     """
+    given = [k for k, v in (("field_h", field_h), ("exchange_j", exchange_j)) if v is not None]
+    reject_keys(model, *critical_keys(model, given))
     if model == "xy":
         return 1.0
     if model == "xxx_field":
-        if field_h is None:
-            raise ValueError("xxx_field requires field_h")
         return _bisect(lambda j: _ground_gap_xxz(j, 1.0, field_h), 1e-6, 10.0)
-    if model == "xxz_field":
-        if field_h is None or exchange_j is None:
-            raise ValueError("xxz_field requires exchange_j and field_h")
-        return _bisect(
-            lambda d: _ground_gap_xxz(exchange_j, d, field_h), -5.0, 5.0
-        )
-    raise ValueError(f"unknown model {model!r}")
+    return _bisect(lambda d: _ground_gap_xxz(exchange_j, d, field_h), -5.0, 5.0)

@@ -11,6 +11,7 @@ writes a JSON report.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
@@ -37,6 +38,8 @@ from .spin_models import (
     XYFieldParams,
     from_xxz_field,
     from_xy_field,
+    reject_keys,
+    require_temperature,
     thermal_state,
 )
 from .teleport import CorrectionLabel
@@ -55,6 +58,16 @@ _KEY_ALIASES = {"lambda": "lam", "kT": "kt", "j": "bigj", "h": "field"}
 
 def _canonical_key(key: str) -> str:
     return _KEY_ALIASES.get(key, key)
+
+
+def _canonical_values(values: dict) -> dict:
+    """``values`` as floats under canonical keys; an alias given beside
+    its canonical key (``lambda`` and ``lam``) is a ValueError."""
+    canonical = {_canonical_key(k): float(v) for k, v in values.items()}
+    if len(canonical) < len(values):
+        twice = [k for k in values if _canonical_key(k) in values.keys() - {k}]
+        raise ValueError("; ".join(f"{k} and {_canonical_key(k)} name one value" for k in twice))
+    return canonical
 
 
 _SWEPT = tuple(map(_canonical_key, SWEEP_VARIABLES))
@@ -87,26 +100,10 @@ def model_keys(model: str, keys) -> tuple:
     return missing, [k for k in keys if k != "kt" and k not in reads]
 
 
-def reject_keys(model: str, missing, unread) -> None:
-    """Raise the one-line ValueError for :func:`model_keys`' result, each
-    key named as the caller names it, unless both lists are empty."""
-
-    def listed(names):
-        return f"{', '.join(names[:-1])} and {names[-1]}" if len(names) > 1 else names[0]
-
-    parts = []
-    if missing:
-        parts.append(f"needs {'a value' if len(missing) == 1 else 'values'} for {listed(missing)}")
-    if unread:
-        parts.append(f"does not read {listed(unread)}")
-    if parts:
-        raise ValueError(f"model {model!r} " + "; it ".join(parts))
-
-
 def _params_for(model: str, values: dict):
     """Raw couplings plus the model-native parameter dict for one point.
-    ``values`` has canonical keys that :func:`model_keys` accepts and
-    float values; any kt is ignored."""
+    ``values`` has canonical keys that :func:`model_keys` accepts, kt
+    not among them, and float values."""
     family, reads, preset = MODEL_PARAMS[model]
     v = {**preset, **values}
     if family == "xy":
@@ -120,7 +117,12 @@ def _params_for(model: str, values: dict):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a model, its fixed parameters, and one swept variable."""
+    """One sweep: a model, its fixed parameters, and one swept variable.
+
+    ``fixed`` holds the model parameters and, unless kT is swept, kt; it
+    must not give the swept variable a value.  The range is finite, and
+    every kT is positive with a finite 1/kT.
+    """
 
     model: str
     fixed: dict
@@ -132,9 +134,7 @@ class SweepSpec:
     grid: QuadratureGrid = DEFAULT_GRID
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "fixed", {_canonical_key(k): float(v) for k, v in self.fixed.items()}
-        )
+        object.__setattr__(self, "fixed", _canonical_values(self.fixed))
         object.__setattr__(self, "swept", _canonical_key(self.swept))
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
@@ -142,18 +142,20 @@ class SweepSpec:
             raise ValueError(f"unknown sweep variable {self.swept!r}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep range must be finite, got {self.start} to {self.stop}")
         if not (self.start < self.stop):
             raise ValueError("sweep range must have start < stop")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
+        if self.swept in self.fixed:
+            raise ValueError(f"the swept variable {self.swept} also has a fixed value")
         if self.swept == "kt":
-            if self.start <= 0.0:
-                raise ValueError("swept kT values must be positive")
+            require_temperature(self.start)
         else:
             if "kt" not in self.fixed:
                 raise ValueError("sweeps over model parameters need a fixed kt")
-            if self.fixed["kt"] <= 0.0:
-                raise ValueError("kT must be positive")
+            require_temperature(self.fixed["kt"])
 
     def grid_values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -301,18 +303,17 @@ def evaluate_point(
     kt: float,
     engine: str = "closed",
     grid: QuadratureGrid = DEFAULT_GRID,
-    mapping: ConventionMapping | None = None,
 ) -> SweepRecord:
-    """One sweep point.  ``values`` holds the model-native parameters.
-    The closed engine treats it as a batch of one."""
+    """One sweep point.  ``values`` holds the model-native parameters
+    only; kT is ``kt``.  The closed engine treats it as a batch of one."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if not kt > 0.0:
-        raise ValueError(f"kT must be positive, got {kt}")
-    values = {_canonical_key(k): float(v) for k, v in values.items()}
+    require_temperature(kt)
+    values = _canonical_values(values)
+    if "kt" in values:
+        raise ValueError("values holds model parameters only; kT is the kt argument")
     reject_keys(model, *model_keys(model, values))
-    if mapping is None and engine != "oracle":
-        mapping = _resolve_mapping()
+    mapping = None if engine == "oracle" else _resolve_mapping()
     p, native = _params_for(model, values)
     if engine == "closed":
         return _closed_records([(model, p, native, kt)], [None], mapping)[0]
@@ -323,10 +324,12 @@ def evaluate_point(
 
 
 def _grid_points(spec: SweepSpec) -> list:
-    """(values, kt) of every grid point, ordered by the swept value."""
+    """(values, kt) of every grid point, ordered by the swept value;
+    ``values`` holds the model parameters only."""
+    values = {k: v for k, v in spec.fixed.items() if k != "kt"}
     if spec.swept == "kt":
-        return [(dict(spec.fixed), float(x)) for x in spec.grid_values()]
-    return [({**spec.fixed, spec.swept: float(x)}, spec.fixed["kt"]) for x in spec.grid_values()]
+        return [(values, float(x)) for x in spec.grid_values()]
+    return [({**values, spec.swept: float(x)}, spec.fixed["kt"]) for x in spec.grid_values()]
 
 
 def run_sweep(spec: SweepSpec):

@@ -261,7 +261,8 @@ def average_all_montecarlo(
     alpha_sq = rng.uniform(0.0, 1.0, samples)
     gamma = rng.uniform(0.0, 2.0 * np.pi, samples)
     ch_t = channel_matrix(channel).reshape(2, 2, 2, 2)
-    kets, rho_in = _state_batch(alpha_sq, gamma)
+    kets = _state_batch(alpha_sq, gamma)
+    rho_in = np.einsum("ai,aj->aij", kets, kets.conj())
     rot = _rotated_kets(kets)
     c, s = np.cos(phi), np.sin(phi)
 

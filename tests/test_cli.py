@@ -120,9 +120,32 @@ def test_figure_subcommand(tmp_path, capsys):
          "--from", "0.1", "--to", "1", "--steps", "3"],
         # the text after --config is written to the config file
         ["point", "--config", "model = xxx\nbigj = 1\nfield = 8\ndelta = 0.3\nkt = 1\n"],
+        # options no subcommand but validate reads
+        ["point", "--model", "xx", "--lambda", "0.7", "--kt", "0.1", "--seed", "3"],
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+         "--from", "0.1", "--to", "1", "--steps", "3", "--seed", "3"],
+        ["figure", "fig3", "--steps", "2", "--out", "{tmp}", "--seed", "3"],
+        # crossings given a value they do not read
+        ["critical", "xxx_field", "--field", "8", "--bigj", "5"],
+        ["critical", "xy", "--field", "3"],
+        # a fixed value for the swept variable
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--kt", "5", "--var", "kt",
+         "--from", "0.1", "--to", "1", "--steps", "2"],
+        ["sweep", "--model", "ising", "--lambda", "0.3", "--kt", "1", "--var", "lambda",
+         "--from", "0.1", "--to", "1", "--steps", "2"],
+        # argparse's own error
+        ["point", "--model", "xx", "--lambda", "0.7", "--kt", "abc"],
+        # numbers at the edge
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+         "--from", "0.1", "--to", "inf", "--steps", "3"],
+        ["point", "--model", "raw", "--jx", "1", "--kt", "1e-320"],
+        ["point", "--model", "raw", "--jx", "1", "--kt", "1e-320", "--engine", "oracle"],
+        ["point", "--model", "raw", "--jx", "1e308", "--jy", "1e308", "--kt", "1"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--config" in argv:
         config = tmp_path / "run.cfg"
         config.write_text(argv[-1])
@@ -133,6 +156,18 @@ def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("thermotele: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("var, flag", [("kt", "--kt"), ("lambda", "--lambda")])
+def test_swept_value_error_names_both_flags(var, flag, capsys):
+    argv = ["sweep", "--model", "ising", "--lambda", "0.3", "--kt", "1", "--var", var,
+            "--from", "0.1", "--to", "1", "--steps", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("thermotele: error: ") and err.count("\n") == 1
+    assert flag in err.replace(f"--var {var}", "") and f"--var {var}" in err
 
 
 @pytest.mark.parametrize(
@@ -168,14 +203,16 @@ def test_model_errors_name_every_flag(argv, message, capsys):
 def test_config_values_take_the_flag_type(argv, tmp_path):
     # --out has no default, so its value must be parsed as the flag's
     # Path type, not as a float
+    # validate alone reads --seed
     config = tmp_path / "run.cfg"
-    config.write_text("out = results.csv\nseed = 7\n")
+    config.write_text("out = results.csv\n" + ("seed = 7\n" if argv == ["validate"] else ""))
     parser, commands = cli.build_parser()
     args = parser.parse_args([*argv, "--config", str(config)])
     actions = {a.dest: a for a in commands[args.command]._actions}
     args = cli._apply_config(args, actions)
     assert args.out == Path("results.csv")
-    assert args.seed == 7
+    if argv == ["validate"]:
+        assert args.seed == 7
 
 
 def test_config_out_writes_the_csv(tmp_path, capsys):
@@ -189,7 +226,11 @@ def test_config_out_writes_the_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["kt = warm\n", "engine = fast\n", "bogus = 1\n", "no equals sign\n"],
+    [
+        "kt = warm\n", "engine = fast\n", "bogus = 1\n", "no equals sign\n",
+        # a value given twice, once under each of its names or twice under one
+        "kt = 0.1\nlam = 0.7\nlambda = 1.3\n", "kt = 0.1\nkt = 0.2\n",
+    ],
 )
 def test_bad_config_is_a_one_line_error(text, tmp_path, capsys):
     config = tmp_path / "run.cfg"

@@ -201,6 +201,28 @@ class TestThermalState:
         with pytest.raises(ValueError, match="temperature must be positive"):
             thermal_state(HeisenbergParams(1, 1, 1), 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_a_temperature_whose_inverse_overflows(self):
+        # 1/kT = inf once gave nan weights after a RuntimeWarning
+        with pytest.raises(ValueError, match="finite 1/kT"):
+            thermal_state(HeisenbergParams(1, 0, 0), 1e-320)
+        assert thermal_state(HeisenbergParams(1, 0, 0), math.inf).beta == 0.0
+
+
+class TestCouplingBound:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_energy_gap_is_rejected(self):
+        for couplings in (
+            (1e308, 1e308, 0.0),  # chi = |jx + jy| overflows
+            (8e307, -8e307, 0.0),  # eta is finite, the phi-sector gap 2 eta is not
+            (0.0, 0.0, 0.0, 8e307, -8e307),  # the psi-sector gap 2 chi
+        ):
+            with pytest.raises(ValueError, match="couplings too large"):
+                HeisenbergParams(*couplings)
+        # the largest gap that does not overflow, 2|jz| = 1.78e308, is kept
+        p = HeisenbergParams(0.0, 0.0, 8.9e307)
+        assert np.isfinite(thermal_state(p, 1.0).rho.mat).all()
+
 
 class TestCriticalPoint:
     def test_xy(self):
@@ -223,3 +245,15 @@ class TestCriticalPoint:
     def test_unknown_model(self):
         with pytest.raises(ValueError):
             critical_point("bogus")
+
+    @pytest.mark.parametrize(
+        "model, values, message",
+        [
+            ("xy", {"field_h": 3.0}, "does not read field_h"),
+            ("xxx_field", {"field_h": 8.0, "exchange_j": 5.0}, "does not read exchange_j"),
+            ("xxz_field", {"field_h": 4.0}, "needs values for exchange_j and field_h"),
+        ],
+    )
+    def test_names_what_the_crossing_needs_or_does_not_read(self, model, values, message):
+        with pytest.raises(ValueError, match=f"^model {model!r} {message}$"):
+            critical_point(model, **values)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -42,6 +43,41 @@ class TestSweepSpec:
     def test_alias_normalization(self):
         spec = SweepSpec("xy", {"lambda": 0.9, "kT": 0.5}, "delta", 0.0, 1.0, 5)
         assert spec.fixed == {"lam": 0.9, "kt": 0.5}
+
+    @pytest.mark.parametrize(
+        "model, fixed, swept",
+        [
+            ("xx", {"lam": 0.7, "kt": 5.0}, "kt"),
+            ("ising", {"lam": 0.3, "kt": 1.0}, "lambda"),
+            ("ising", {"lambda": 0.3, "kt": 1.0}, "lam"),
+        ],
+    )
+    def test_swept_variable_cannot_be_fixed(self, model, fixed, swept):
+        # the grid once overrode the fixed value without a word
+        with pytest.raises(ValueError, match="swept variable .* also has a fixed value"):
+            SweepSpec(model, fixed, swept, 0.1, 1.0, 2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "fixed, swept, start, stop",
+        [
+            ({"lam": 0.7}, "kt", 0.1, math.inf),
+            ({"kt": 1.0}, "lambda", -math.inf, 1.0),
+        ],
+    )
+    def test_range_must_be_finite(self, fixed, swept, start, stop):
+        with pytest.raises(ValueError, match="sweep range must be finite"):
+            SweepSpec("ising", fixed, swept, start, stop, 3)
+
+    @pytest.mark.parametrize(
+        "fixed, swept, start",
+        [({"lam": 0.7}, "kt", 1e-320), ({"zeta": 0.5, "kt": 1e-320}, "lambda", 0.1)],
+    )
+    def test_every_kt_has_a_finite_inverse(self, fixed, swept, start):
+        with pytest.raises(ValueError, match="finite 1/kT"):
+            SweepSpec("xy", fixed, swept, start, 1.0, 3)
+        # kT = inf (beta = 0) stays valid
+        SweepSpec("xy", {"zeta": 0.5, "kt": math.inf}, "lambda", 0.1, 1.0, 3)
 
 
 class TestRunSweep:
@@ -200,6 +236,31 @@ class TestModelInput:
             evaluate_point(model, values, 0.5, engine="oracle")
         with pytest.raises(ValueError, match=message):
             run_sweep(SweepSpec(model, values, "kt", 0.1, 1.0, 3))
+
+    def test_alias_beside_its_key_is_rejected(self):
+        # the later of the two once won without a word
+        with pytest.raises(ValueError, match="^lambda and lam name one value$"):
+            evaluate_point("xx", {"lam": 0.7, "lambda": 1.3}, 0.1)
+        with pytest.raises(ValueError, match="^lambda and lam name one value$"):
+            SweepSpec("xx", {"lambda": 0.7, "lam": 1.3}, "kt", 0.1, 1.0, 2)
+
+    @pytest.mark.parametrize("key", ["kt", "kT"])
+    def test_kt_is_not_a_value(self, key):
+        # a kt in values was once ignored in favour of the kt argument
+        with pytest.raises(ValueError, match="kT is the kt argument"):
+            evaluate_point("xx", {"lam": 0.7, key: 5.0}, 0.1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_kt_with_an_overflowing_inverse_is_rejected(self, engine):
+        with pytest.raises(ValueError, match="finite 1/kT"):
+            evaluate_point("raw", {"jx": 1.0}, 1e-320, engine)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_couplings_are_rejected(self):
+        # these once gave NaN efficiencies with exit status 0
+        with pytest.raises(ValueError, match="couplings too large"):
+            evaluate_point("raw", {"jx": 1e308, "jy": 1e308}, 1.0)
 
     def test_every_missing_and_unread_key_is_named(self):
         with pytest.raises(
