@@ -19,11 +19,11 @@ from .averaging import (
 )
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
+    RESOLVED_MAPPING,
     Branch,
     ClosedFormInputs,
     ConventionMapping,
     ReconciliationReport,
-    default_mapping,
     default_reconciliation,
     f_branch,
     g_branch,

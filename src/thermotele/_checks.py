@@ -19,11 +19,11 @@ from .averaging import DEFAULT_GRID, QuadratureGrid
 from .classical_limit import BlochVector, SeparableChannel, verify_classical_bound
 from .closed_form import (
     CANDIDATE_MAPPINGS,
+    RESOLVED_MAPPING,
     Branch,
     _case_errors,
     _oracle_averages,
     _random_cases,
-    default_mapping,
     default_reconciliation,
     f_branch,
     reconciled_det_optimal,
@@ -143,29 +143,27 @@ def _random_params(rng, with_field=True) -> HeisenbergParams:
 def check_oracle_closed_agreement(seed: int, cases: int = 200) -> CheckResult:
     """Criterion 1: q, f, g vs the quadrature oracle to 1e-8 under the
     resolved mapping, on random tuples with |j|,|h| <= 3, beta in (0,20]."""
-    mapping = default_mapping()
     drawn = _random_cases(np.random.default_rng(seed), cases, 0.02)
     oracles = _oracle_averages(drawn, DEFAULT_GRID)
-    worst = float(_case_errors(drawn, oracles, (mapping,)).max())
+    worst = float(_case_errors(drawn, oracles, (RESOLVED_MAPPING,)).max())
     return CheckResult.within(
         "oracle_closed_form_agreement",
         worst,
         1e-8,
-        {"cases": cases, "mapping": mapping.name},
+        {"cases": cases, "mapping": RESOLVED_MAPPING.name},
     )
 
 
 def check_no_field_collapse(seed: int, cases: int = 50) -> CheckResult:
     """Criterion 2: with no external field the probabilistic and
     deterministic optima coincide to 1e-10."""
-    mapping = default_mapping()
     rng = np.random.default_rng(seed)
     params, betas = [], []
     for _ in range(cases):
         params.append(_random_params(rng, with_field=False))
         betas.append(float(rng.uniform(0.02, 20.0)))
-    dets = reconciled_det_optimal(params, np.array(betas), mapping)
-    probs = reconciled_prob_optimal(params, np.array(betas), mapping)
+    dets = reconciled_det_optimal(params, np.array(betas))
+    probs = reconciled_prob_optimal(params, np.array(betas))
     worst = max(abs(d.best_value - p.best_value) for d, p in zip(dets, probs))
     return CheckResult.within("no_field_collapse", worst, 1e-10, {"cases": cases})
 
@@ -378,17 +376,14 @@ def check_deterministic_phi_rule(seed: int, cases: int = 200) -> CheckResult:
 
 def check_reconciliation() -> CheckResult:
     """Criterion 10: reconciliation resolves to exactly one mapping at
-    1e-8, and its report carries the discriminating singlet-ground case."""
+    1e-8, the ``RESOLVED_MAPPING`` that the closed engine uses, and its
+    report carries the discriminating singlet-ground case."""
     report = default_reconciliation()
     singlet = report.singlet_case
-    discriminates = (
-        abs(singlet["predicted_det_psi_minus"]["identity"]
-            - singlet["oracle_det_psi_minus"]) > 0.1
-        if report.resolved
-        else False
-    )
+    identity = singlet["predicted_det_psi_minus"]["identity"]
+    discriminates = abs(identity - singlet["oracle_det_psi_minus"]) > 0.1
     bound = 1e-8
-    passed = report.resolved and report.max_abs_error <= bound and discriminates
+    passed = report.mapping == RESOLVED_MAPPING and report.max_abs_error <= bound and discriminates
     return CheckResult(
         "reconciliation_resolution",
         passed,

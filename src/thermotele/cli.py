@@ -3,10 +3,10 @@ critical points.
 
 ``point``, ``sweep``, ``figure`` and ``validate`` also accept ``--config
 FILE`` with ``key = value`` lines (keys named like the long flags);
-explicit flags win over the file.  A value a subcommand needs may come
-from either, so it is checked only once the file has been read.  Every
-error, argparse's own included, is one ``thermotele: error:`` line with
-exit status 2.
+explicit flags, each given once, win over the file.  A value a subcommand
+needs may come from either, so it is checked only once the file has been
+read.  Every error, argparse's own included, is one ``thermotele: error:``
+line with exit status 2.
 """
 
 from __future__ import annotations
@@ -46,14 +46,30 @@ def _add_model_args(parser):
     parser.add_argument("--kt", type=float, default=None, help="temperature kT (k=1)")
 
 
-def _add_common(parser):
+def _add_common(parser, engine=True):
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file supplying flag defaults")
-    parser.add_argument("--engine", choices=ENGINES, default="closed")
+    if engine:
+        parser.add_argument("--engine", choices=ENGINES, default="closed")
+
+
+class _StoreOnce(argparse.Action):
+    """Stores a value once, noting its destination in ``_given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} is given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports its own errors as one line; sub-parsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message):
         self.exit(2, f"thermotele: error: {message}\n")
@@ -90,7 +106,7 @@ def build_parser():
     p_fig.add_argument("--out", type=Path, default=Path("figures"))
 
     p_val = sub.add_parser("validate", help="run the acceptance battery")
-    _add_common(p_val)
+    _add_common(p_val, engine=False)
     p_val.add_argument("--seed", type=int, default=20260810)
     p_val.add_argument("--cases", type=int, default=200)
     p_val.add_argument("--out", type=Path, default=None, help="JSON report path")
@@ -114,8 +130,8 @@ _REQUIRED = {"point": ("model", "kt"), "sweep": ("model", "var", "start", "stop"
 
 
 def _apply_config(args, actions):
-    """Fill flag values from the config file wherever the flag kept its
-    parser default (explicit flags therefore win).  Each value is parsed
+    """Fill flag values from the config file wherever the command line did
+    not give the flag (explicit flags therefore win).  Each value is parsed
     with its flag's own type and checked against its choices; a bad file,
     or one that gives a value twice (``lam`` and ``lambda``), raises
     ValueError."""
@@ -142,7 +158,7 @@ def _apply_config(args, actions):
         if action.dest in given:
             raise ValueError(f"config key {key!r} repeats a value the file already gives")
         given.add(action.dest)
-        if getattr(args, action.dest) != action.default:
+        if action.dest in args._given:
             continue
         try:
             parsed = action.type(value) if action.type else value

@@ -266,7 +266,9 @@ def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
     beta = 1.0 / kT
     levels = block_spectrum(p)
     energies = np.array([lv.energy for lv in levels])
-    weights = np.exp(-beta * (energies - energies.min()))
+    # a product that overflows is -inf, whose weight 0 is the right one
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (energies - energies.min()))
     z = float(weights.sum())
     rho = np.zeros((4, 4), dtype=complex)
     for lv, w in zip(levels, weights):

@@ -25,8 +25,6 @@ from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
     SUCCESS_TIE_TOL,
-    ConventionMapping,
-    default_mapping,
     default_reconciliation,
     reconciled_det_optimal,
     reconciled_pair_rate,
@@ -53,7 +51,7 @@ ENGINES = ("oracle", "closed", "both")
 # ---------------------------------------------------------------------------
 # model parameter resolution
 
-_KEY_ALIASES = {"lambda": "lam", "kT": "kt", "j": "bigj", "h": "field"}
+_KEY_ALIASES = {"lambda": "lam", "kT": "kt"}
 
 
 def _canonical_key(key: str) -> str:
@@ -246,7 +244,7 @@ def _record(model, p, native, kt, engine, det, prob) -> SweepRecord:
     )
 
 
-def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
+def _closed_records(points, oracle) -> list:
     """Closed-engine records of (model, params, native, kt) points, with
     every closed form run once on the whole batch.
 
@@ -262,8 +260,8 @@ def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
     params = [p for _, p, _, _ in points]
     betas = 1.0 / np.asarray([kt for *_, kt in points], dtype=float)
     optima = zip(
-        reconciled_det_optimal(params, betas, mapping),
-        reconciled_prob_optimal(params, betas, mapping),
+        reconciled_det_optimal(params, betas),
+        reconciled_prob_optimal(params, betas),
     )
     checked = [r for r in oracle if r is not None]
     rates = iter(reconciled_pair_rate(
@@ -271,7 +269,6 @@ def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
         1.0 / np.asarray([r.kt for r in checked], dtype=float),
         [r.prob_phi for r in checked],
         [tuple(int(s) for s in r.prob_pair.split("+")) for r in checked],
-        mapping,
     ) if checked else [])
     records = []
     for (model, p, native, kt), r, (det, prob) in zip(points, oracle, optima):
@@ -290,13 +287,6 @@ def _closed_records(points, oracle, mapping: ConventionMapping) -> list:
     return records
 
 
-def _resolve_mapping():
-    try:
-        return default_mapping()
-    except RuntimeError as exc:
-        raise RuntimeError(f"{exc}; rerun with engine='oracle'") from None
-
-
 def evaluate_point(
     model: str,
     values: dict,
@@ -313,13 +303,12 @@ def evaluate_point(
     if "kt" in values:
         raise ValueError("values holds model parameters only; kT is the kt argument")
     reject_keys(model, *model_keys(model, values))
-    mapping = None if engine == "oracle" else _resolve_mapping()
     p, native = _params_for(model, values)
     if engine == "closed":
-        return _closed_records([(model, p, native, kt)], [None], mapping)[0]
+        return _closed_records([(model, p, native, kt)], [None])[0]
     record = _record(model, p, native, kt, "oracle", *_oracle_point(p, kt, grid))
     if engine == "both":
-        return _closed_records([(model, p, native, kt)], [record], mapping)[0]
+        return _closed_records([(model, p, native, kt)], [record])[0]
     return record
 
 
@@ -362,9 +351,6 @@ def run_sweeps(specs) -> list:
             )
         reject_keys(spec.model, *model_keys(spec.model, {**spec.fixed, spec.swept: None}))
     grids = [_grid_points(spec) for spec in specs]
-    mapping = None
-    if any(spec.engine != "oracle" for spec in specs):
-        mapping = _resolve_mapping()
     runs = []  # per spec: its oracle records, or None per point
     points, oracle = [], []  # the closed half's points, all specs in turn
     for spec, grid in zip(specs, grids):
@@ -379,7 +365,7 @@ def run_sweeps(specs) -> list:
         if spec.engine != "oracle":
             oracle += records
         runs.append(records)
-    closed = iter(_closed_records(points, oracle, mapping))
+    closed = iter(_closed_records(points, oracle))
     return [
         records if spec.engine == "oracle" else [next(closed) for _ in records]
         for spec, records in zip(specs, runs)

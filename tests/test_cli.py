@@ -60,6 +60,17 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     assert payload["kt"] == 0.25  # explicit flag wins
 
 
+def test_flag_at_its_default_wins_over_the_config(tmp_path, capsys):
+    # an explicit --engine closed once lost to the file, as it equals the
+    # flag's default
+    config = tmp_path / "run.cfg"
+    config.write_text("engine = both\nkt = 0.5\n")
+    argv = ["point", "--model", "xx", "--lambda", "0.7", "--kt", "0.1", "--engine", "closed"]
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["engine"], payload["kt"]) == ("closed", 0.1)
+
+
 def test_config_rejects_unknown_key(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("bogus = 1\n")
@@ -141,6 +152,10 @@ def test_figure_subcommand(tmp_path, capsys):
         ["point", "--model", "raw", "--jx", "1", "--kt", "1e-320"],
         ["point", "--model", "raw", "--jx", "1", "--kt", "1e-320", "--engine", "oracle"],
         ["point", "--model", "raw", "--jx", "1e308", "--jy", "1e308", "--kt", "1"],
+        # validate runs both engines, so it takes no --engine
+        ["validate", "--engine", "closed"],
+        # a flag given twice
+        ["point", "--model", "xx", "--lambda", "0.7", "--lambda", "1.3", "--kt", "0.1"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -156,6 +171,18 @@ def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("thermotele: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_exponents_are_silent(capsys):
+    # beta times the energy gap overflows to inf; exp(-inf) = 0 is the
+    # right weight, so the point runs without a numpy warning
+    argv = ["point", "--model", "raw", "--jx", "4e307", "--jy", "4e307", "--kt", "1e-300",
+            "--engine", "both"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["engine_disagreement"] <= 1e-8
 
 
 @pytest.mark.parametrize("var, flag", [("kt", "--kt"), ("lambda", "--lambda")])
@@ -181,8 +208,11 @@ def test_swept_value_error_names_both_flags(var, flag, capsys):
         (["sweep", "--model", "xxx", "--bigj", "1", "--kt", "1", "--var", "delta",
           "--from", "0", "--to", "1", "--steps", "3"],
          "model 'xxx' needs a value for --field; it does not read --var delta"),
+        # argparse's last value once won without a word
+        (["point", "--model", "xx", "--kt", "0.1", "--lambda", "0.7", "--lambda", "1.3"],
+         "--lambda is given more than once"),
     ],
-    ids=("xxz-missing", "ising-missing", "raw-unread", "xxx-sweep"),
+    ids=("xxz-missing", "ising-missing", "raw-unread", "xxx-sweep", "repeat"),
 )
 def test_model_errors_name_every_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -244,6 +244,12 @@ class TestModelInput:
         with pytest.raises(ValueError, match="^lambda and lam name one value$"):
             SweepSpec("xx", {"lambda": 0.7, "lam": 1.3}, "kt", 0.1, 1.0, 2)
 
+    def test_only_lambda_and_kt_have_second_names(self):
+        # j and h were once read as bigj and field
+        message = "^model 'xxx' needs values for bigj and field; it does not read j and h$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_point("xxx", {"j": 1.0, "h": 8.0}, 0.5)
+
     @pytest.mark.parametrize("key", ["kt", "kT"])
     def test_kt_is_not_a_value(self, key):
         # a kt in values was once ignored in favour of the kt argument

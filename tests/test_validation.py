@@ -1,18 +1,16 @@
 """Plumbing tests for the validate entry point and check machinery."""
 
 import numpy as np
-import pytest
 
 import thermotele._checks as checks
 import thermotele.closed_form as closed_form
+import thermotele.sweeps as sweeps
 from thermotele.sweeps import validate
 
 
 def test_injected_fault_detected(monkeypatch):
     # perturbing a closed-form evaluation by 1e-3 must break the
-    # oracle agreement check, and the check must report that error; the
-    # mapping is resolved first, so the fault reaches only the check
-    closed_form.default_reconciliation()
+    # oracle agreement check, and the check must report that error
     original = closed_form.q_rate
 
     def skewed(inp, phi):
@@ -68,17 +66,7 @@ def test_validate_all_green_status(monkeypatch):
     assert status == 0 and report["passed"] is True
 
 
-def test_unresolved_mapping_instructs_oracle_use(monkeypatch):
-    import thermotele.sweeps as sweeps
-
-    def unresolved():
-        raise RuntimeError("convention reconciliation is unresolved")
-
-    monkeypatch.setattr(sweeps, "default_mapping", unresolved)
-    spec = sweeps.SweepSpec("ising", {"lam": 0.7}, "kt", 0.1, 1.0, 3, engine="closed")
-    with pytest.raises(RuntimeError, match="oracle"):
-        sweeps.run_sweep(spec)
-    # the oracle engine keeps working without a mapping
+def test_oracle_sweep_on_its_own_grid():
     records = sweeps.run_sweep(
         sweeps.SweepSpec(
             "ising", {"lam": 0.7}, "kt", 0.1, 1.0, 3, engine="oracle",
@@ -86,6 +74,22 @@ def test_unresolved_mapping_instructs_oracle_use(monkeypatch):
         )
     )
     assert len(records) == 3
+
+
+def test_closed_engine_never_reconciles(monkeypatch, tmp_path):
+    # the closed forms read the pinned RESOLVED_MAPPING; only validate runs
+    # the oracle reconciliation
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the closed engine ran the reconciliation")
+
+    monkeypatch.setattr(closed_form, "_DEFAULT_REPORT", None)
+    monkeypatch.setattr(closed_form, "reconcile_conventions", unavailable)
+    spec = sweeps.SweepSpec("ising", {"lam": 0.7}, "kt", 0.1, 1.0, 3, engine="closed")
+    assert len(sweeps.run_sweep(spec)) == 3
+    record = sweeps.evaluate_point("xx", {"lam": 0.7}, 0.1, engine="both")
+    assert record.engine_disagreement <= 1e-8
+    assert sweeps.reproduce_figure("fig2", tmp_path, steps=2)
+    assert closed_form._DEFAULT_REPORT is None
 
 
 def test_check_result_serializable():
