@@ -18,6 +18,15 @@ into arrays of weights and Bloch vectors, and their densities are built,
 validated, contracted with the oracle's linear map and optimized over phi
 together.  Every step works entry by entry or channel by channel, so each
 channel gets the bits it would get alone.
+
+The draws keep the stream of a plain loop over ``rng.integers(1, 5)``,
+``rng.dirichlet(np.ones(n))`` and 2n rejection loops over
+``rng.uniform(-1, 1, 3)``, bit for bit and up to the generator's end state,
+with any bit generator, but make a few block calls per channel.  The
+weights are normalized Exp(1) draws, which is how numpy draws a flat
+Dirichlet.  The ball points are tried in one block of attempts; the
+generator is then put back to its state before the block and advanced over
+exactly the attempts used.
 """
 
 from __future__ import annotations
@@ -95,35 +104,64 @@ def _mixtures(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 MAX_TERMS = 4
 
 
-def _ball_point(rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the solid unit ball, by rejection."""
-    while True:
-        v = rng.uniform(-1.0, 1.0, 3)
-        if v @ v <= 1.0:
-            return v
+# ball-point attempts drawn per block; 2 MAX_TERMS points need ~15 on average
+BALL_BLOCK = 24
 
 
-def _draw(rng: np.random.Generator, weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> int:
+def _ball_points(rng: np.random.Generator, need: int) -> np.ndarray:
+    """``need`` uniform draws (need, 3) from the solid unit ball, by
+    rejection, with the bits and the generator's end state of ``need``
+    one-at-a-time loops over ``rng.uniform(-1, 1, 3)`` and ``v @ v <= 1``.
+
+    One block of attempts is drawn, the state before it is restored and
+    exactly the doubles of the attempts used are drawn again.  Each row's
+    ``v @ v`` is its own (1, 3) @ (3, 1) product, which gives the 1-D dot
+    product's bits.
+    """
+    state = rng.bit_generator.state
+    block = rng.uniform(-1.0, 1.0, (BALL_BLOCK, 3))
+    norms = (block[:, None, :] @ block[:, :, None]).ravel()
+    accepted = (norms <= 1.0).nonzero()[0][:need]
+    if len(accepted) < need:  # the whole block is used
+        return np.concatenate([block[accepted], _ball_points(rng, need - len(accepted))])
+    rng.bit_generator.state = state
+    # uniform(-1, 1) and random() both take one double per entry
+    rng.random(3 * (accepted[-1] + 1))
+    return block.take(accepted, axis=0)
+
+
+def _flat_dirichlet(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.dirichlet(np.ones(n))``, with its bits and its use of the
+    stream: numpy normalizes Gamma(1) = Exp(1) draws by their sum, taken in
+    order from 0.0."""
+    draws = rng.standard_exponential(n)
+    acc = 0.0
+    for x in draws.tolist():
+        acc += x
+    return draws * (1.0 / acc)
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray, terms: np.ndarray) -> int:
     """Draw one random separable channel into zeroed rows ``weights``
-    (MAX_TERMS,) and ``a``, ``b`` (MAX_TERMS, 3) and return its number of
-    terms; the unused terms keep weight 0.
+    (MAX_TERMS,) and ``terms`` (MAX_TERMS, 2, 3), the Bloch vectors a_k and
+    b_k of each term, and return its number of terms; the unused terms
+    keep weight 0.
 
     This is the one definition of the random stream: the term count, the
     Dirichlet weights, then both Bloch vectors of each term in turn.
     """
     n = int(rng.integers(1, MAX_TERMS + 1))
-    weights[:n] = rng.dirichlet(np.ones(n))
-    for k in range(n):
-        a[k] = _ball_point(rng)
-        b[k] = _ball_point(rng)
+    weights[:n] = _flat_dirichlet(rng, n)
+    terms[:n] = _ball_points(rng, 2 * n).reshape(n, 2, 3)
     return n
 
 
 def random_separable_channel(rng: np.random.Generator) -> SeparableChannel:
-    weights, a, b = np.zeros(MAX_TERMS), np.zeros((MAX_TERMS, 3)), np.zeros((MAX_TERMS, 3))
-    n = _draw(rng, weights, a, b)
+    weights, terms = np.zeros(MAX_TERMS), np.zeros((MAX_TERMS, 2, 3))
+    n = _draw(rng, weights, terms)
     return SeparableChannel(tuple(
-        (float(weights[k]), BlochVector(*a[k]), BlochVector(*b[k])) for k in range(n)
+        (float(weights[k]), BlochVector(*terms[k, 0]), BlochVector(*terms[k, 1]))
+        for k in range(n)
     ))
 
 
@@ -144,11 +182,10 @@ def oracle_det_optimum(channel, grid: QuadratureGrid):
 def _random_mixtures(rng: np.random.Generator, count: int) -> np.ndarray:
     """Densities (count, 4, 4) of ``count`` random separable channels,
     drawn as ``random_separable_channel`` draws them, one after another."""
-    weights = np.zeros((count, MAX_TERMS))
-    a, b = np.zeros((2, count, MAX_TERMS, 3))
+    weights, terms = np.zeros((count, MAX_TERMS)), np.zeros((count, MAX_TERMS, 2, 3))
     for i in range(count):
-        _draw(rng, weights[i], a[i], b[i])
-    return _mixtures(weights, a, b)
+        _draw(rng, weights[i], terms[i])
+    return _mixtures(weights, terms[..., 0, :], terms[..., 1, :])
 
 
 def verify_classical_bound(samples: int, seed: int, grid: QuadratureGrid | None = None):

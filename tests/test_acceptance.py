@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from thermotele import sweeps
 from thermotele.sweeps import validate
 
 CRITERIA = (
@@ -179,3 +180,14 @@ def test_report_records_quadrature_grids(battery):
     for name in ("classical_bound", "infinite_temperature_limit"):
         assert by_name[name]["details"]["grid"] == {"n_alpha": 16, "n_gamma": 16}
     assert json.loads(report_path.read_text())["grid"] == report["grid"]
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+def test_rejects_fewer_than_one_case(cases, monkeypatch):
+    # one ValueError before the reconciliation or any check runs
+    def unreachable():
+        raise AssertionError("reconciled before the case count was checked")
+
+    monkeypatch.setattr(sweeps, "default_reconciliation", unreachable)
+    with pytest.raises(ValueError, match="at least 1 case"):
+        validate(cases=cases)

@@ -7,8 +7,12 @@ from references import product_avg_fidelity, product_opt_fidelity, random_bloch_
 
 from thermotele.averaging import QuadratureGrid, average_all
 from thermotele.classical_limit import (
+    MAX_TERMS,
     BlochVector,
     SeparableChannel,
+    _ball_points,
+    _flat_dirichlet,
+    _mixtures,
     _random_mixtures,
     oracle_det_optimum,
     random_separable_channel,
@@ -73,6 +77,102 @@ class TestSeparableChannel:
             SeparableChannel(((0.5, pole, pole),))
         with pytest.raises(ValueError):
             SeparableChannel(())
+
+
+def reference_stack(rng, count):
+    """Densities (count, 4, 4) of ``count`` channels drawn one at a time by
+    the reference loop: ``dirichlet`` and a rejection loop per ball point."""
+    weights = np.zeros((count, MAX_TERMS))
+    a, b = np.zeros((2, count, MAX_TERMS, 3))
+    for i in range(count):
+        for k, (w, x, y) in enumerate(ref.random_separable_channel(rng).terms):
+            weights[i, k], a[i, k], b[i, k] = w, (x.ax, x.ay, x.az), (y.ax, y.ay, y.az)
+    return _mixtures(weights, a, b)
+
+
+def reference_ball_points(rng, need):
+    return np.array([(v.ax, v.ay, v.az) for v in (ref.random_bloch_vector(rng) for _ in range(need))])
+
+
+class ScriptedGenerator:
+    """Replays fixed rows as its ``uniform(-1, 1)`` draws; its bit
+    generator's state is the position in the script."""
+
+    def __init__(self, rows):
+        self.values, self.bit_generator, self.state = np.ravel(rows), self, 0
+
+    def uniform(self, low, high, size):
+        count = int(np.prod(size))
+        out = self.values[self.state:self.state + count].reshape(size)
+        self.state += count
+        return out
+
+    def random(self, size):
+        return self.uniform(0.0, 1.0, size)
+
+
+# rows whose v @ v is 1.0 + 1 ulp or exactly 1.0, where another summation
+# order (einsum, (v * v).sum()) or a strict < flips the rejection decision,
+# and one row well outside the ball
+BOUNDARY_ROWS = [
+    [float.fromhex(x) for x in row]
+    for row in (
+        ("-0x1.4a43ddd51dd60p-4", "-0x1.30a5b270e23d0p-1", "0x1.996d16a1a496ap-1"),
+        ("-0x1.c1be8d309b8eep-1", "-0x1.5293c604df410p-4", "-0x1.e201fa5f72164p-2"),
+        ("0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1", "0x1.ccccccccccccdp-1"),
+        ("-0x1p+0", "0x0p+0", "0x0p+0"),
+        ("0x1.bff0371ffaf20p-4", "-0x1.973e7e4e862c0p-2", "-0x1.d26b5442353dcp-1"),
+    )
+]
+
+
+class TestStream:
+    """The block draws keep the reference loop's stream bit for bit, and
+    leave the generator where the loop leaves it."""
+
+    @pytest.mark.parametrize("seed", [3, 22, 901, 20260813])
+    def test_stack_keeps_the_reference_stream(self, seed):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_random_mixtures(rng, 5000), reference_stack(old, 5000))
+        assert rng.integers(2**62) == old.integers(2**62)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_any_bit_generator(self, bit_generator):
+        rng, old = (np.random.Generator(bit_generator(7)) for _ in range(2))
+        assert np.array_equal(_random_mixtures(rng, 2000), reference_stack(old, 2000))
+        assert rng.integers(2**62) == old.integers(2**62)
+
+    def test_interleaved_single_channels(self):
+        rng, old = np.random.default_rng(24), np.random.default_rng(24)
+        for count in (1, 7, 2, 30):
+            assert np.array_equal(_random_mixtures(rng, count), reference_stack(old, count))
+            single = random_separable_channel(rng).density().mat
+            assert np.array_equal(single, reference_stack(old, 1)[0])
+        assert rng.integers(2**62) == old.integers(2**62)
+
+    @pytest.mark.parametrize("seed", [3, 22, 901])
+    def test_ball_points_past_one_block(self, seed):
+        # 30 points need more than one block of attempts
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_ball_points(rng, 30), reference_ball_points(old, 30))
+        assert rng.integers(2**62) == old.integers(2**62)
+
+    @pytest.mark.parametrize("need", range(1, 7))
+    def test_ball_points_keep_boundary_decisions(self, need):
+        rows = BOUNDARY_ROWS + np.random.default_rng(25).uniform(-1.0, 1.0, (60, 3)).tolist()
+        rng, old = ScriptedGenerator(rows), ScriptedGenerator(rows)
+        assert np.array_equal(_ball_points(rng, need), reference_ball_points(old, need))
+        assert rng.state == old.state
+
+
+@pytest.mark.parametrize("n", range(1, MAX_TERMS + 1))
+@pytest.mark.parametrize("seed", [3, 22, 901])
+def test_flat_dirichlet_is_numpy_dirichlet(n, seed):
+    # the identity the weights rest on: a numpy that breaks it fails here
+    rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(10_000):
+        assert np.array_equal(_flat_dirichlet(rng, n), old.dirichlet(np.ones(n)))
+    assert rng.bit_generator.state == old.bit_generator.state
 
 
 class TestProductFidelity:

@@ -154,6 +154,9 @@ def test_figure_subcommand(tmp_path, capsys):
         ["point", "--model", "raw", "--jx", "1e308", "--jy", "1e308", "--kt", "1"],
         # validate runs both engines, so it takes no --engine
         ["validate", "--engine", "closed"],
+        # validate needs at least one case
+        ["validate", "--cases", "0"],
+        ["validate", "--cases", "-3"],
         # a flag given twice
         ["point", "--model", "xx", "--lambda", "0.7", "--lambda", "1.3", "--kt", "0.1"],
     ],

@@ -1,5 +1,6 @@
-"""Golden bytes: the fig2..fig7 closed-engine datasets and the default
-reconciliation report must not change by a single byte.
+"""Golden bytes: the fig2..fig7 closed-engine datasets, the default
+reconciliation report and the optima of criterion 3's random separable
+channels must not change by a single byte.
 
 The digests were taken before the closed forms were made array-native and
 the sweeps batched; a deliberate change of any output has to update them
@@ -9,9 +10,12 @@ and say why.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from thermotele import closed_form
+from thermotele.averaging import QuadratureGrid
+from thermotele.classical_limit import _random_mixtures, oracle_det_optimum
 from thermotele.sweeps import reproduce_figure
 
 FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
@@ -65,6 +69,12 @@ FIGURE_DIGESTS = {
 # SHA-256 of json.dumps(default_reconciliation().to_dict(), sort_keys=True)
 RECONCILIATION_DIGEST = "f11198f0012e984346df01440e77651b7bd31f9d33036696e75391e368b97c3e"
 
+# criterion 3 (seed 20260810 + 3) at its 16x16 grid: the optima of its
+# 10,000 random channels, without the pole channel that sets max_fidelity
+CLASSICAL_SEED = 20260813
+CLASSICAL_MAX = 0.6589085453468222
+CLASSICAL_DIGEST = "443a3cdbfef6c0bd7e5221c48ee8762f3d1bf2e308a8f7fc1f5c2a2d224b2865"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -90,3 +100,10 @@ def test_reconciliation_report_bytes():
     report = closed_form.default_reconciliation().to_dict()
     text = json.dumps(report, sort_keys=True)
     assert _sha256(text.encode("utf-8")) == RECONCILIATION_DIGEST
+
+
+def test_classical_bound_channel_optima():
+    stack = _random_mixtures(np.random.default_rng(CLASSICAL_SEED), 10_000)
+    optima = oracle_det_optimum(stack, QuadratureGrid(16, 16))
+    assert float(np.max(optima)) == CLASSICAL_MAX
+    assert _sha256(optima.tobytes()) == CLASSICAL_DIGEST
