@@ -30,8 +30,8 @@ from .closed_form import (
     reconciled_prob_optimal,
 )
 from .densmat import DensityMatrix, PureQubit
-from .spin_models import HeisenbergParams, critical_point
-from .sweeps import CLASSICAL_LIMIT, SweepSpec, evaluate_point, run_sweeps
+from .spin_models import HeisenbergParams, block_spectrum, critical_point
+from .sweeps import CLASSICAL_LIMIT, SweepSpec, _params_for, evaluate_point, run_sweeps
 from .teleport import CorrectionLabel, bell_basis, correction_set, run_outcome
 
 # criterion 9's own dense scan plus golden-section, kept independent of the
@@ -286,11 +286,19 @@ def check_figure2_quantitative() -> CheckResult:
     )
 
 
+def _sector_gap(j: float, delta: float, h: float) -> float:
+    """``block_spectrum``'s lowest phi minus lowest psi level of xxz at (J, Delta, h)."""
+    p, _ = _params_for("xxz", {"bigj": j, "delta": delta, "field": h})
+    _, phi_ground, _, psi_ground = block_spectrum(p)
+    return phi_ground.energy - psi_ground.energy
+
+
 def check_figure_qualitative() -> CheckResult:
     """Criterion 7: (a) XX at lam = 0.7 keeps the deterministic protocol
     classical while the probabilistic one beats 2/3 and grows with kT on
     some interval; (b) XXX level crossing at J = 1 for h = 8 and no
-    quantum advantage for J < 0; (c) XXZ crossing at Delta = 0."""
+    quantum advantage for J < 0; (c) XXZ crossing at Delta = 0.  Across
+    both crossings -/+ 1e-9, ``block_spectrum``'s sector gap changes sign."""
     details = {}
     xx, *xxx_negative_j = run_sweeps([
         SweepSpec("xx", {"lam": 0.7}, "kt", 0.05, 3.0, 40),
@@ -308,8 +316,10 @@ def check_figure_qualitative() -> CheckResult:
     details["xx_max_prob"] = float(prob.max())
 
     jc = critical_point("xxx_field", field_h=8.0)
-    b_crossing = abs(jc - 1.0) <= 1e-9
+    b_gap_sign = _sector_gap(jc - 1e-9, 1.0, 8.0) * _sector_gap(jc + 1e-9, 1.0, 8.0) < 0.0
+    b_crossing = abs(jc - 1.0) <= 1e-9 and b_gap_sign
     details["xxx_crossing"] = jc
+    details["xxx_gap_changes_sign"] = b_gap_sign
     b_negative_j = all(
         max(r.det_value, r.prob_value) <= CLASSICAL_LIMIT + 1e-9
         for records in xxx_negative_j
@@ -317,8 +327,10 @@ def check_figure_qualitative() -> CheckResult:
     )
 
     dc = critical_point("xxz_field", exchange_j=1.0, field_h=4.0)
-    c_crossing = abs(dc - 0.0) <= 1e-9
+    c_gap_sign = _sector_gap(1.0, dc - 1e-9, 4.0) * _sector_gap(1.0, dc + 1e-9, 4.0) < 0.0
+    c_crossing = abs(dc - 0.0) <= 1e-9 and c_gap_sign
     details["xxz_crossing"] = dc
+    details["xxz_gap_changes_sign"] = c_gap_sign
 
     passed = (
         a_det_classical

@@ -251,9 +251,7 @@ class ThermalState:
     """Canonical-ensemble state of the two channel qubits at beta = 1/kT."""
 
     rho: DensityMatrix
-    partition_z: float  # partition function of the min-shifted spectrum
     beta: float
-    params: HeisenbergParams
 
 
 def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
@@ -273,35 +271,7 @@ def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
     rho = np.zeros((4, 4), dtype=complex)
     for lv, w in zip(levels, weights):
         rho += (w / z) * np.outer(lv.vector, lv.vector)
-    return ThermalState(rho=DensityMatrix(rho), partition_z=z, beta=beta, params=p)
-
-
-def _ground_gap_xxz(j: float, delta: float, h: float) -> float:
-    """Difference between the phi- and psi-sector ground energies."""
-    levels = block_spectrum(from_xxz_field(XXZFieldParams(j, delta, h)))
-    phi = min(lv.energy for lv in levels if lv.sector == "phi")
-    psi = min(lv.energy for lv in levels if lv.sector == "psi")
-    return phi - psi
-
-
-def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise ValueError("no level crossing found")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return ThermalState(rho=DensityMatrix(rho), beta=beta)
 
 
 # the keyword arguments of critical_point each crossing reads
@@ -325,22 +295,33 @@ def critical_point(
     field_h: float | None = None,
     exchange_j: float | None = None,
 ) -> float:
-    """Locate the ground-level crossing of the channel Hamiltonian.
+    """The ground-level crossing of the channel Hamiltonian, in closed form.
 
-    model = "xy"        -> the literature value 1.0 (in lam).
-    model = "xxx_field" -> the J at which the phi and psi sector ground
-                           energies cross, for the given field_h.
-    model = "xxz_field" -> the Delta at which they cross, for the given
-                           exchange_j and field_h.
+    ``block_spectrum``'s phi-sector ground level jz - eta minus its
+    psi-sector one -jz - chi is 4 J Delta + 4|J| - |h| under the XXZ
+    mapping (jz = 2 J Delta, eta = |h|, chi = 4|J|).  This gap is linear,
+    with the root J_c = |h| / 8 for "xxx_field" (Delta = 1; the gap is -|h|
+    for J <= 0) and Delta_c = (|h| - 4|J|) / (4 J) for "xxz_field".  "xy"
+    gives 1.0 (in lam), the infinite chain's literature value: the two-qubit
+    channel crosses there only at zeta = 0, and elsewhere at
+    lam = 1 / sqrt(1 - zeta^2), which needs zeta and is not computed here.
 
-    A parameter the crossing needs and lacks, or one it does not read
-    (``CRITICAL_PARAMS``), is a ValueError.  Crossings are located by
-    bisection on the sign of the ground-level gap to 1e-10.
+    A missing or unread parameter (``CRITICAL_PARAMS``), a value that is
+    not finite, h = 0 for xxx_field and J = 0 for xxz_field (no crossing)
+    and a Delta_c that overflows are each a ValueError.
     """
-    given = [k for k, v in (("field_h", field_h), ("exchange_j", exchange_j)) if v is not None]
+    given = {k: v for k, v in (("exchange_j", exchange_j), ("field_h", field_h)) if v is not None}
     reject_keys(model, *critical_keys(model, given))
     if model == "xy":
         return 1.0
+    _require_finite(**given)
     if model == "xxx_field":
-        return _bisect(lambda j: _ground_gap_xxz(j, 1.0, field_h), 1e-6, 10.0)
-    return _bisect(lambda d: _ground_gap_xxz(exchange_j, d, field_h), -5.0, 5.0)
+        if field_h == 0.0:
+            raise ValueError("no level crossing found")
+        return abs(field_h) / 8.0
+    if exchange_j == 0.0:
+        raise ValueError("no level crossing found: at exchange_j = 0 no Delta moves the gap")
+    delta_c = (abs(field_h) - 4.0 * abs(exchange_j)) / (4.0 * exchange_j) + 0.0
+    if not math.isfinite(delta_c):
+        raise ValueError(f"the level crossing overflows: Delta_c = {delta_c}")
+    return delta_c

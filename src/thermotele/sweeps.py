@@ -591,12 +591,15 @@ def validate(seed: int = 20260810, cases: int = 200, report_path=None):
     ``report_path`` is given.  The reconciliation section records its wall
     time and whether this process had already computed it (``cached``);
     ``grid`` is the quadrature grid of the oracle wherever a check does
-    not name its own in its details.  ``cases`` must be at least 1.
+    not name its own in its details.  ``cases`` must be at least 1 and
+    ``seed`` at least 0.
     """
     from . import _checks
 
     if cases < 1:
         raise ValueError(f"validate needs at least 1 case, got {cases}")
+    if seed < 0:
+        raise ValueError(f"validate needs a seed of at least 0, got {seed}")
     cached = closed_form._DEFAULT_REPORT is not None
     start = time.perf_counter()
     reconciliation = default_reconciliation()

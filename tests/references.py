@@ -22,6 +22,11 @@ method ``AveragedQuantities.det_for``) and the Monte Carlo estimator
 ``_rotated_kets``.  The estimator returns ``MonteCarloAverages``, which
 adds its standard errors (formerly optional fields of
 ``AveragedQuantities``).
+
+The last section is the level-crossing search that
+``thermotele.spin_models.critical_point`` ran before it returned closed
+forms: ``_ground_gap_xxz`` and ``_bisect``, moved here unchanged, and
+``bisected_crossing``, which calls them with the old brackets.
 """
 
 from __future__ import annotations
@@ -51,7 +56,16 @@ from thermotele.densmat import (
     channel_matrix,
     cmatrix,
 )
-from thermotele.spin_models import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z, HeisenbergParams
+from thermotele.spin_models import (
+    IDENTITY2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    HeisenbergParams,
+    XXZFieldParams,
+    block_spectrum,
+    from_xxz_field,
+)
 from thermotele.teleport import _U_BY_KEY, CORRECTION_KEYS, CorrectionLabel
 
 # ---------------------------------------------------------------------------
@@ -315,3 +329,43 @@ def average_all_montecarlo(
         fbar_cond_stderr=cond_se,
         fbar_det_stderr=det_se,
     )
+
+
+# ---------------------------------------------------------------------------
+# level crossings by bisection
+
+
+def _ground_gap_xxz(j: float, delta: float, h: float) -> float:
+    """Difference between the phi- and psi-sector ground energies."""
+    levels = block_spectrum(from_xxz_field(XXZFieldParams(j, delta, h)))
+    phi = min(lv.energy for lv in levels if lv.sector == "phi")
+    psi = min(lv.energy for lv in levels if lv.sector == "psi")
+    return phi - psi
+
+
+def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise ValueError("no level crossing found")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if flo * fmid < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def bisected_crossing(model: str, *, field_h: float, exchange_j: float = 1.0) -> float:
+    """The crossing as the library located it by bisection: J in
+    [1e-6, 10] for ``xxx_field`` and Delta in [-5, 5] for ``xxz_field``."""
+    if model == "xxx_field":
+        return _bisect(lambda j: _ground_gap_xxz(j, 1.0, field_h), 1e-6, 10.0)
+    return _bisect(lambda d: _ground_gap_xxz(exchange_j, d, field_h), -5.0, 5.0)

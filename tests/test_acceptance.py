@@ -191,3 +191,14 @@ def test_rejects_fewer_than_one_case(cases, monkeypatch):
     monkeypatch.setattr(sweeps, "default_reconciliation", unreachable)
     with pytest.raises(ValueError, match="at least 1 case"):
         validate(cases=cases)
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_rejects_a_negative_seed(seed, monkeypatch):
+    # one ValueError before the reconciliation or any check runs
+    def unreachable():
+        raise AssertionError("reconciled before the seed was checked")
+
+    monkeypatch.setattr(sweeps, "default_reconciliation", unreachable)
+    with pytest.raises(ValueError, match=f"^validate needs a seed of at least 0, got {seed}$"):
+        validate(seed=seed)

@@ -87,6 +87,12 @@ def test_critical_subcommand(capsys):
     assert abs(value - 1.0) <= 1e-9
 
 
+def test_critical_outside_the_old_bracket(capsys):
+    # the bisection this replaced searched J in [1e-6, 10] only
+    assert cli.main(["critical", "xxx_field", "--field", "200"]) == 0
+    assert capsys.readouterr().out == "25.000000000000\n"
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
@@ -139,6 +145,10 @@ def test_figure_subcommand(tmp_path, capsys):
         # crossings given a value they do not read
         ["critical", "xxx_field", "--field", "8", "--bigj", "5"],
         ["critical", "xy", "--field", "3"],
+        # crossings that do not exist or are not finite
+        ["critical", "xxz_field", "--bigj", "0", "--field", "0"],
+        ["critical", "xxz_field", "--bigj", "1e-320", "--field", "4"],
+        ["critical", "xxx_field", "--field", "nan"],
         # a fixed value for the swept variable
         ["sweep", "--model", "xx", "--lambda", "0.7", "--kt", "5", "--var", "kt",
          "--from", "0.1", "--to", "1", "--steps", "2"],
@@ -157,6 +167,8 @@ def test_figure_subcommand(tmp_path, capsys):
         # validate needs at least one case
         ["validate", "--cases", "0"],
         ["validate", "--cases", "-3"],
+        # nor a negative seed
+        ["validate", "--seed", "-5"],
         # a flag given twice
         ["point", "--model", "xx", "--lambda", "0.7", "--lambda", "1.3", "--kt", "0.1"],
     ],

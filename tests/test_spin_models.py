@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from references import build_hamiltonian, gibbs_density, hermitian_eigen
+from references import (
+    _ground_gap_xxz,
+    bisected_crossing,
+    build_hamiltonian,
+    gibbs_density,
+    hermitian_eigen,
+)
 
 from thermotele.spin_models import (
     HeisenbergParams,
@@ -241,6 +247,78 @@ class TestCriticalPoint:
     def test_no_crossing(self):
         with pytest.raises(ValueError, match="no level crossing found"):
             critical_point("xxx_field", field_h=0.0)
+
+    @pytest.mark.parametrize(
+        "model, values, expected",
+        [
+            ("xxx_field", {"field_h": 8.0}, 1.0),
+            ("xxx_field", {"field_h": 200.0}, 25.0),
+            ("xxz_field", {"exchange_j": 1.0, "field_h": 40.0}, 9.0),
+            ("xxz_field", {"exchange_j": -1.0, "field_h": 4.0}, 0.0),
+        ],
+    )
+    def test_exact_values(self, model, values, expected):
+        value = critical_point(model, **values)
+        assert value == expected
+        assert math.copysign(1.0, value) == 1.0
+
+    def test_matches_bisection_inside_the_old_brackets(self):
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(200):
+            h, j = rng.uniform(-30.0, 30.0), rng.uniform(-3.0, 3.0)
+            for model, values in (
+                ("xxx_field", {"field_h": h}),
+                ("xxz_field", {"exchange_j": j, "field_h": h}),
+            ):
+                try:
+                    reference = bisected_crossing(model, **values)
+                except ValueError:
+                    continue
+                assert abs(critical_point(model, **values) - reference) <= 1e-10
+                compared += 1
+        assert compared >= 200
+
+    def test_gap_changes_sign_outside_the_old_brackets(self):
+        # the bisection searched J in [1e-6, 10] and Delta in [-5, 5]
+        rng = np.random.default_rng(5)
+        outside = 0
+        for _ in range(400):
+            h, j = rng.uniform(-30.0, 30.0), rng.uniform(-3.0, 3.0)
+            delta_c = critical_point("xxz_field", exchange_j=j, field_h=h)
+            if abs(delta_c) <= 5.0:
+                continue
+            lo, hi = delta_c * (1.0 - 1e-9), delta_c * (1.0 + 1e-9)
+            assert _ground_gap_xxz(j, lo, h) * _ground_gap_xxz(j, hi, h) < 0.0
+            outside += 1
+        for h in (-200.0, 80.5, 1e3, 1e-6):
+            j_c = critical_point("xxx_field", field_h=h)
+            lo, hi = j_c * (1.0 - 1e-9), j_c * (1.0 + 1e-9)
+            assert _ground_gap_xxz(lo, 1.0, h) * _ground_gap_xxz(hi, 1.0, h) < 0.0
+        assert outside >= 50
+
+    @pytest.mark.parametrize(
+        "model, values, message",
+        [
+            ("xxx_field", {"field_h": 0.0}, "^no level crossing found$"),
+            ("xxx_field", {"field_h": -0.0}, "^no level crossing found$"),
+            ("xxz_field", {"exchange_j": 0.0, "field_h": 4.0}, "^no level crossing found: "),
+            ("xxz_field", {"exchange_j": 0.0, "field_h": 0.0}, "^no level crossing found: "),
+            ("xxz_field", {"exchange_j": 1e-320, "field_h": 4.0},
+             "^the level crossing overflows: Delta_c = inf$"),
+            ("xxz_field", {"exchange_j": 1e308, "field_h": 1.0},
+             "^the level crossing overflows: Delta_c = nan$"),
+            ("xxx_field", {"field_h": math.nan}, "^field_h must be finite, got nan$"),
+            ("xxx_field", {"field_h": -math.inf}, "^field_h must be finite, got -inf$"),
+            ("xxz_field", {"exchange_j": math.nan, "field_h": 4.0},
+             "^exchange_j must be finite, got nan$"),
+            ("xxz_field", {"exchange_j": 1.0, "field_h": math.inf},
+             "^field_h must be finite, got inf$"),
+        ],
+    )
+    def test_no_finite_crossing_is_one_error(self, model, values, message):
+        with pytest.raises(ValueError, match=message):
+            critical_point(model, **values)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):
