@@ -267,7 +267,11 @@ class ConventionMapping:
 
     def inputs(self, p, beta) -> ClosedFormInputs:
         """Inputs of one HeisenbergParams or of a sequence of them, with
-        one beta each."""
+        one beta each.  Inputs this mapping already built pass through
+        unchanged, with their own beta, so the expressions that read them
+        share their branch terms."""
+        if isinstance(p, ClosedFormInputs):
+            return p
         inp = ClosedFormInputs.from_heisenberg(p, beta)
         return replace(inp, jz=-inp.jz) if self.flip_jz else inp
 
@@ -473,7 +477,8 @@ def reconciled_pair_rate(
     """Success rate of postselecting ``pair`` at basis angle ``phi``.
 
     ``p`` is one HeisenbergParams (a float comes back) or a sequence of
-    them with one beta, angle and pair each (a list comes back).
+    them with one beta, angle and pair each (a list comes back), or the
+    ``mapping``'s inputs of either (``ConventionMapping.inputs``).
     """
     inp = mapping.inputs(p, beta)
     phi = np.asarray(phi, dtype=float)
@@ -504,7 +509,8 @@ def _best_branch(inp: ClosedFormInputs, pair, values, angles):
 def reconciled_det_optimal(p, beta, mapping: ConventionMapping = RESOLVED_MAPPING):
     """Deterministic optimum with physically labeled branches: one result
     for one HeisenbergParams, a list for a sequence of them (one beta
-    each).  ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
+    each); ``p`` may also be the ``mapping``'s inputs of either.
+    ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
 
     Each branch's optimum sits at phi = +/- pi/4 (the standard Bell
     basis); only the sign, fixed by sigma_j and delta_j, varies.
@@ -523,7 +529,8 @@ def reconciled_det_optimal(p, beta, mapping: ConventionMapping = RESOLVED_MAPPIN
 def reconciled_prob_optimal(p, beta, mapping: ConventionMapping = RESOLVED_MAPPING):
     """Probabilistic optimum with physically labeled branches: one result
     for one HeisenbergParams, a list for a sequence of them (one beta
-    each).  ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
+    each); ``p`` may also be the ``mapping``'s inputs of either.
+    ``CANDIDATE_MAPPINGS[0]`` (identity) gives the printed optimum.
 
     One column-wise optimizer call covers every point and both branches.
     Angles whose pair probability falls below MIN_PAIR_PROBABILITY are

@@ -201,22 +201,37 @@ def _sym2_eigenpairs(a: float, b: float, c: float):
     """Eigenpairs of the real symmetric 2x2 block [[a, c], [c, b]].
 
     Returns ((lam_plus, u_plus), (lam_minus, u_minus)) with lam_plus >=
-    lam_minus and orthonormal real eigenvectors.
+    lam_minus and orthonormal real eigenvectors as pairs of floats.
     """
     mean = 0.5 * (a + b)
     r = math.hypot(0.5 * (a - b), c)
     lam_plus, lam_minus = mean + r, mean - r
     if r <= 1e-300:
-        return (lam_plus, np.array([1.0, 0.0])), (lam_minus, np.array([0.0, 1.0]))
+        return (lam_plus, (1.0, 0.0)), (lam_minus, (0.0, 1.0))
     # two algebraically equivalent constructions; pick the better conditioned.
     # Both are scaled by the power of two nearest 1/r, which changes no bit
     # of the result but keeps their norms from underflowing for tiny blocks
     scale = math.ldexp(1.0, -math.frexp(r)[1])
-    u1 = np.array([c, lam_plus - a]) * scale
-    u2 = np.array([lam_plus - b, c]) * scale
-    u = u1 if np.linalg.norm(u1) >= np.linalg.norm(u2) else u2
-    u = u / np.linalg.norm(u)
-    return (lam_plus, u), (lam_minus, np.array([-u[1], u[0]]))
+    u1 = np.array([c * scale, (lam_plus - a) * scale])
+    u2 = np.array([(lam_plus - b) * scale, c * scale])
+    # each norm as np.linalg.norm takes it for a float vector: BLAS ddot,
+    # then sqrt (plain x*x + y*y rounds differently)
+    n1, n2 = math.sqrt(u1.dot(u1)), math.sqrt(u2.dot(u2))
+    (x, y), n = (u1.tolist(), n1) if n1 >= n2 else (u2.tolist(), n2)
+    x, y = x / n, y / n
+    return (lam_plus, (x, y)), (lam_minus, (-y, x))
+
+
+def _blocks(p: HeisenbergParams):
+    """The eigenpairs of the phi block on (|00>, |11>) and of the psi block
+    on (|01>, |10>), each as ``_sym2_eigenpairs`` returns them."""
+    d = p.derived()
+    # phi block: [[jz + sigma_h, delta_j], [delta_j, jz - sigma_h]]
+    # psi block: [[-jz + delta_h, sigma_j], [sigma_j, -jz - delta_h]]
+    return (
+        _sym2_eigenpairs(p.jz + d.sigma_h, p.jz - d.sigma_h, d.delta_j),
+        _sym2_eigenpairs(-p.jz + d.delta_h, -p.jz - d.delta_h, d.sigma_j),
+    )
 
 
 def block_spectrum(p: HeisenbergParams):
@@ -225,24 +240,12 @@ def block_spectrum(p: HeisenbergParams):
     Returns four ``BlockLevel`` entries ordered as (phi+, phi-, psi+, psi-),
     i.e. energies (jz + eta, jz - eta, -jz + chi, -jz - chi).
     """
-    d = p.derived()
-    # phi block on (|00>, |11>): [[jz + sigma_h, delta_j], [delta_j, jz - sigma_h]]
-    (ep, up), (em, um) = _sym2_eigenpairs(
-        p.jz + d.sigma_h, p.jz - d.sigma_h, d.delta_j
-    )
     levels = []
-    for e, u in ((ep, up), (em, um)):
-        vec = np.zeros(4)
-        vec[0], vec[3] = u[0], u[1]
-        levels.append(BlockLevel("phi", e, vec))
-    # psi block on (|01>, |10>): [[-jz + delta_h, sigma_j], [sigma_j, -jz - delta_h]]
-    (ep, up), (em, um) = _sym2_eigenpairs(
-        -p.jz + d.delta_h, -p.jz - d.delta_h, d.sigma_j
-    )
-    for e, u in ((ep, up), (em, um)):
-        vec = np.zeros(4)
-        vec[1], vec[2] = u[0], u[1]
-        levels.append(BlockLevel("psi", e, vec))
+    for sector, slots, pairs in zip(("phi", "psi"), ((0, 3), (1, 2)), _blocks(p)):
+        for e, u in pairs:
+            vec = np.zeros(4)
+            vec[slots[0]], vec[slots[1]] = u[0], u[1]
+            levels.append(BlockLevel(sector, e, vec))
     return tuple(levels)
 
 
@@ -254,23 +257,39 @@ class ThermalState:
     beta: float
 
 
+def _block_entries(pairs, w_plus: float, w_minus: float) -> list:
+    """The (0, 0), (0, 1) and (1, 1) entries of one block's part of the
+    thermal state: its two levels' outer products, weighted by their
+    normalized Boltzmann weights and summed onto +0.0."""
+    (_, u), (_, v) = pairs
+    return [
+        (0.0 + w_plus * (u[i] * u[j])) + w_minus * (v[i] * v[j])
+        for i, j in ((0, 0), (0, 1), (1, 1))
+    ]
+
+
 def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
     """exp(-H/kT) / Z built from the analytic block spectrum.
 
     The Boltzmann weights are computed against the ground energy, so
     arbitrarily low temperatures (beta up to ~1e3 and beyond) are safe.
+    Each block's three distinct entries are written from its two
+    eigenpairs, with the bits of summing the four levels' weighted outer
+    products: the other block's levels add only +0.0 there.
     """
     require_temperature(kT)
     beta = 1.0 / kT
-    levels = block_spectrum(p)
-    energies = np.array([lv.energy for lv in levels])
+    phi, psi = _blocks(p)
+    energies = np.array([phi[0][0], phi[1][0], psi[0][0], psi[1][0]])
     # a product that overflows is -inf, whose weight 0 is the right one
     with np.errstate(over="ignore"):
         weights = np.exp(-beta * (energies - energies.min()))
-    z = float(weights.sum())
-    rho = np.zeros((4, 4), dtype=complex)
-    for lv, w in zip(levels, weights):
-        rho += (w / z) * np.outer(lv.vector, lv.vector)
+    phi_plus, phi_minus, psi_plus, psi_minus = (weights / float(weights.sum())).tolist()
+    a, b, c = _block_entries(phi, phi_plus, phi_minus)
+    d, e, f = _block_entries(psi, psi_plus, psi_minus)
+    rho = np.array(
+        [[a, 0.0, 0.0, b], [0.0, d, e, 0.0], [0.0, e, f, 0.0], [b, 0.0, 0.0, c]], dtype=complex
+    )
     return ThermalState(rho=DensityMatrix(rho), beta=beta)
 
 
@@ -307,8 +326,9 @@ def critical_point(
     lam = 1 / sqrt(1 - zeta^2), which needs zeta and is not computed here.
 
     A missing or unread parameter (``CRITICAL_PARAMS``), a value that is
-    not finite, h = 0 for xxx_field and J = 0 for xxz_field (no crossing)
-    and a Delta_c that overflows are each a ValueError.
+    not finite, h = 0 for xxx_field and J = 0 for xxz_field (no crossing),
+    a Delta_c that overflows and a crossing whose model cannot be built
+    (``HeisenbergParams``' coupling bound) are each a ValueError.
     """
     given = {k: v for k, v in (("exchange_j", exchange_j), ("field_h", field_h)) if v is not None}
     reject_keys(model, *critical_keys(model, given))
@@ -318,10 +338,13 @@ def critical_point(
     if model == "xxx_field":
         if field_h == 0.0:
             raise ValueError("no level crossing found")
-        return abs(field_h) / 8.0
-    if exchange_j == 0.0:
-        raise ValueError("no level crossing found: at exchange_j = 0 no Delta moves the gap")
-    delta_c = (abs(field_h) - 4.0 * abs(exchange_j)) / (4.0 * exchange_j) + 0.0
-    if not math.isfinite(delta_c):
-        raise ValueError(f"the level crossing overflows: Delta_c = {delta_c}")
-    return delta_c
+        exchange_j, delta = abs(field_h) / 8.0, 1.0
+    else:
+        if exchange_j == 0.0:
+            raise ValueError("no level crossing found: at exchange_j = 0 no Delta moves the gap")
+        delta = (abs(field_h) - 4.0 * abs(exchange_j)) / (4.0 * exchange_j) + 0.0
+        if not math.isfinite(delta):
+            raise ValueError(f"the level crossing overflows: Delta_c = {delta}")
+    # the model at the crossing must have couplings it can be built from
+    from_xxz_field(XXZFieldParams(exchange_j, delta, field_h))
+    return exchange_j if model == "xxx_field" else delta

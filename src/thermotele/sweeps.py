@@ -24,6 +24,7 @@ from ._optimize import SET_FAMILY, labeled, maximize_form, maximize_ratio, selec
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
+    RESOLVED_MAPPING,
     SUCCESS_TIE_TOL,
     default_reconciliation,
     reconciled_det_optimal,
@@ -204,15 +205,16 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     det_values, det_phis = maximize_form(harmonics.joint_coef.sum(axis=1))
     det_values, det_phis = det_values.tolist(), det_phis.tolist()
     k = select(det_values)
-    probs = []
-    for pair in _PAIRS:
-        rows = [pair[0] - 1, pair[1] - 1]
-        den = harmonics.q_coef[:, rows].sum(axis=1)
-        num = harmonics.joint_coef[:, rows, :].sum(axis=1)
-        probs += [
-            maximize_ratio(num[:, e], den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL)
-            for e in range(4)
-        ]
+    # both pairs' (u, v, s) tables at once: column 0 is outcomes 1 + 4,
+    # column 1 outcomes 2 + 3
+    q, joint = harmonics.q_coef, harmonics.joint_coef
+    dens = (q[:, [0, 1]] + q[:, [3, 2]]).T.tolist()
+    nums = (joint[:, [0, 1]] + joint[:, [3, 2]]).transpose(1, 2, 0).tolist()
+    probs = [
+        maximize_ratio(num, den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL)
+        for den, pair_nums in zip(dens, nums)
+        for num in pair_nums
+    ]
     # candidate j is set j % 4 of pair j // 4
     j = select([opt.value for opt in probs])
     prob = probs[j]
@@ -253,23 +255,23 @@ def _closed_records(points, oracle) -> list:
     as engine "both", carrying its worst absolute gap to the closed forms.
     The success rate is compared at the oracle's angle: optimal angles
     themselves are sqrt-conditioned on flat maxima, but the averaged
-    quantities at any common angle are not.
+    quantities at any common angle are not.  The batch's inputs are built
+    once, so each branch's terms are too.
     """
     if not points:
         return []
-    params = [p for _, p, _, _ in points]
     betas = 1.0 / np.asarray([kt for *_, kt in points], dtype=float)
-    optima = zip(
-        reconciled_det_optimal(params, betas),
-        reconciled_prob_optimal(params, betas),
-    )
-    checked = [r for r in oracle if r is not None]
-    rates = iter(reconciled_pair_rate(
-        [r.params for r in checked],
-        1.0 / np.asarray([r.kt for r in checked], dtype=float),
-        [r.prob_phi for r in checked],
-        [tuple(int(s) for s in r.prob_pair.split("+")) for r in checked],
-    ) if checked else [])
+    inp = RESOLVED_MAPPING.inputs([p for _, p, _, _ in points], betas)
+    optima = zip(reconciled_det_optimal(inp, betas), reconciled_prob_optimal(inp, betas))
+    checked = [k for k, r in enumerate(oracle) if r is not None]
+    if checked:
+        rows = inp if len(checked) == len(points) else inp.take(checked)
+        rates = iter(reconciled_pair_rate(
+            rows,
+            betas[checked],
+            [oracle[k].prob_phi for k in checked],
+            [tuple(int(s) for s in oracle[k].prob_pair.split("+")) for k in checked],
+        ))
     records = []
     for (model, p, native, kt), r, (det, prob) in zip(points, oracle, optima):
         if r is None:

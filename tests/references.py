@@ -23,10 +23,18 @@ method ``AveragedQuantities.det_for``) and the Monte Carlo estimator
 adds its standard errors (formerly optional fields of
 ``AveragedQuantities``).
 
-The last section is the level-crossing search that
+The level-crossing section is the search that
 ``thermotele.spin_models.critical_point`` ran before it returned closed
 forms: ``_ground_gap_xxz`` and ``_bisect``, moved here unchanged, and
 ``bisected_crossing``, which calls them with the old brackets.
+
+The last section is ``thermotele.spin_models.thermal_state`` as it was
+before it wrote the state's entries from the two blocks: it embeds the
+four levels of ``block_spectrum`` in the full basis and sums their
+weighted outer products.  ``thermal_state_by_levels`` keeps it verbatim,
+with ``block_spectrum`` and ``_sym2_eigenpairs`` (array eigenvectors,
+``np.linalg.norm`` norms) as they were then, so the tests can compare the
+library's states with it byte for byte.
 """
 
 from __future__ import annotations
@@ -61,10 +69,13 @@ from thermotele.spin_models import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    BlockLevel,
     HeisenbergParams,
+    ThermalState,
     XXZFieldParams,
     block_spectrum,
     from_xxz_field,
+    require_temperature,
 )
 from thermotele.teleport import _U_BY_KEY, CORRECTION_KEYS, CorrectionLabel
 
@@ -369,3 +380,76 @@ def bisected_crossing(model: str, *, field_h: float, exchange_j: float = 1.0) ->
     if model == "xxx_field":
         return _bisect(lambda j: _ground_gap_xxz(j, 1.0, field_h), 1e-6, 10.0)
     return _bisect(lambda d: _ground_gap_xxz(exchange_j, d, field_h), -5.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# the thermal state as a sum of four outer products
+
+
+def _sym2_eigenpairs(a: float, b: float, c: float):
+    """Eigenpairs of the real symmetric 2x2 block [[a, c], [c, b]].
+
+    Returns ((lam_plus, u_plus), (lam_minus, u_minus)) with lam_plus >=
+    lam_minus and orthonormal real eigenvectors.
+    """
+    mean = 0.5 * (a + b)
+    r = math.hypot(0.5 * (a - b), c)
+    lam_plus, lam_minus = mean + r, mean - r
+    if r <= 1e-300:
+        return (lam_plus, np.array([1.0, 0.0])), (lam_minus, np.array([0.0, 1.0]))
+    # two algebraically equivalent constructions; pick the better conditioned.
+    # Both are scaled by the power of two nearest 1/r, which changes no bit
+    # of the result but keeps their norms from underflowing for tiny blocks
+    scale = math.ldexp(1.0, -math.frexp(r)[1])
+    u1 = np.array([c, lam_plus - a]) * scale
+    u2 = np.array([lam_plus - b, c]) * scale
+    u = u1 if np.linalg.norm(u1) >= np.linalg.norm(u2) else u2
+    u = u / np.linalg.norm(u)
+    return (lam_plus, u), (lam_minus, np.array([-u[1], u[0]]))
+
+
+def block_spectrum_by_levels(p: HeisenbergParams):
+    """Analytic spectrum of the two 2x2 invariant blocks.
+
+    Returns four ``BlockLevel`` entries ordered as (phi+, phi-, psi+, psi-),
+    i.e. energies (jz + eta, jz - eta, -jz + chi, -jz - chi).
+    """
+    d = p.derived()
+    # phi block on (|00>, |11>): [[jz + sigma_h, delta_j], [delta_j, jz - sigma_h]]
+    (ep, up), (em, um) = _sym2_eigenpairs(
+        p.jz + d.sigma_h, p.jz - d.sigma_h, d.delta_j
+    )
+    levels = []
+    for e, u in ((ep, up), (em, um)):
+        vec = np.zeros(4)
+        vec[0], vec[3] = u[0], u[1]
+        levels.append(BlockLevel("phi", e, vec))
+    # psi block on (|01>, |10>): [[-jz + delta_h, sigma_j], [sigma_j, -jz - delta_h]]
+    (ep, up), (em, um) = _sym2_eigenpairs(
+        -p.jz + d.delta_h, -p.jz - d.delta_h, d.sigma_j
+    )
+    for e, u in ((ep, up), (em, um)):
+        vec = np.zeros(4)
+        vec[1], vec[2] = u[0], u[1]
+        levels.append(BlockLevel("psi", e, vec))
+    return tuple(levels)
+
+
+def thermal_state_by_levels(p: HeisenbergParams, kT: float) -> ThermalState:
+    """exp(-H/kT) / Z built from the analytic block spectrum.
+
+    The Boltzmann weights are computed against the ground energy, so
+    arbitrarily low temperatures (beta up to ~1e3 and beyond) are safe.
+    """
+    require_temperature(kT)
+    beta = 1.0 / kT
+    levels = block_spectrum_by_levels(p)
+    energies = np.array([lv.energy for lv in levels])
+    # a product that overflows is -inf, whose weight 0 is the right one
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (energies - energies.min()))
+    z = float(weights.sum())
+    rho = np.zeros((4, 4), dtype=complex)
+    for lv, w in zip(levels, weights):
+        rho += (w / z) * np.outer(lv.vector, lv.vector)
+    return ThermalState(rho=DensityMatrix(rho), beta=beta)

@@ -93,6 +93,12 @@ def test_critical_outside_the_old_bracket(capsys):
     assert capsys.readouterr().out == "25.000000000000\n"
 
 
+def test_critical_at_the_largest_buildable_field(capsys):
+    # J_c = 1e307 gives the xxx model a largest energy gap 2 |h| = 1.6e308
+    assert cli.main(["critical", "xxx_field", "--field", "8e307"]) == 0
+    assert float(capsys.readouterr().out) == 1e307
+
+
 @pytest.mark.parametrize(
     "argv, flags",
     [
@@ -149,6 +155,9 @@ def test_figure_subcommand(tmp_path, capsys):
         ["critical", "xxz_field", "--bigj", "0", "--field", "0"],
         ["critical", "xxz_field", "--bigj", "1e-320", "--field", "4"],
         ["critical", "xxx_field", "--field", "nan"],
+        # crossings whose model's couplings overflow
+        ["critical", "xxx_field", "--field", "9e307"],
+        ["critical", "xxz_field", "--bigj", "1e307", "--field", "1e308"],
         # a fixed value for the swept variable
         ["sweep", "--model", "xx", "--lambda", "0.7", "--kt", "5", "--var", "kt",
          "--from", "0.1", "--to", "1", "--steps", "2"],

@@ -5,9 +5,11 @@ import pytest
 from references import (
     _ground_gap_xxz,
     bisected_crossing,
+    block_spectrum_by_levels,
     build_hamiltonian,
     gibbs_density,
     hermitian_eigen,
+    thermal_state_by_levels,
 )
 
 from thermotele.spin_models import (
@@ -215,6 +217,58 @@ class TestThermalState:
         assert thermal_state(HeisenbergParams(1, 0, 0), math.inf).beta == 0.0
 
 
+def _state_sample(rng, count: int) -> list:
+    """``count`` (params, kT) cases in five kinds, in turn: random couplings
+    in [-3, 3]; the same with about half set to zero; rounded to integers
+    (degenerate levels and vanishing blocks); xxz-like (jx = jy, ha = hb);
+    scaled by 10**U(-12, 3).  kT is log-uniform in [1e-3, 1e3]."""
+    cases = []
+    for k in range(count):
+        c = rng.uniform(-3.0, 3.0, 5)
+        kind = k % 5
+        if kind == 1:
+            c[rng.random(5) < 0.5] = 0.0
+        elif kind == 2:
+            c = np.round(c)
+        elif kind == 3:
+            c[1], c[4] = c[0], c[3]
+        elif kind == 4:
+            c *= 10.0 ** rng.uniform(-12.0, 3.0)
+        cases.append((HeisenbergParams(*c.tolist()), 10.0 ** rng.uniform(-3.0, 3.0)))
+    return cases
+
+
+class TestThermalStateBits:
+    """``thermal_state`` writes each block's entries from its eigenpairs;
+    the sum of the four levels' outer products it replaced
+    (``references.thermal_state_by_levels``) must give the same bytes."""
+
+    FIXED = [
+        (HeisenbergParams(0.0, 0.0, 0.0), 1.0),  # the zero Hamiltonian
+        (HeisenbergParams(0.0, 0.0, 0.0), math.inf),
+        # the two cases of test_tiny_couplings_do_not_underflow
+        (HeisenbergParams(0, 1e-170, 0), 1.0),
+        (HeisenbergParams(0, 0, 0, 0, 1e-200), 1.0),
+        (HeisenbergParams(0.3, -1.1, 0.7, 0.2, -0.4), math.inf),
+        (HeisenbergParams(2.0, 2.0, 2.0, -1.0, -1.0), math.inf),
+    ]
+
+    def test_matches_the_outer_product_sum_byte_for_byte(self):
+        cases = self.FIXED + _state_sample(np.random.default_rng(20), 20000)
+        differ = []
+        for p, kt in cases:
+            new, old = thermal_state(p, kt), thermal_state_by_levels(p, kt)
+            if new.rho.mat.tobytes() != old.rho.mat.tobytes() or new.beta != old.beta:
+                differ.append((p, kt))
+        assert differ == [], f"{len(differ)} of {len(cases)} states differ, first {differ[0]}"
+
+    def test_block_spectrum_keeps_its_levels(self):
+        for p, _ in self.FIXED + _state_sample(np.random.default_rng(21), 2000):
+            for new, old in zip(block_spectrum(p), block_spectrum_by_levels(p)):
+                assert (new.sector, new.energy) == (old.sector, old.energy)
+                assert new.vector.tobytes() == old.vector.tobytes()
+
+
 class TestCouplingBound:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_energy_gap_is_rejected(self):
@@ -261,6 +315,15 @@ class TestCriticalPoint:
         value = critical_point(model, **values)
         assert value == expected
         assert math.copysign(1.0, value) == 1.0
+
+    def test_largest_crossings_that_can_be_built(self):
+        # 2 |h| is the xxx model's largest energy gap, and it is finite here
+        assert critical_point("xxx_field", field_h=8e307) == 1e307
+        thermal_state(from_xxz_field(XXZFieldParams(1e307, 1.0, 8e307)), 1.0)
+        # J = 2**1019 and h = 2**1022: Delta_c = 1, a largest gap of 2**1023
+        j, h = math.ldexp(1.0, 1019), math.ldexp(1.0, 1022)
+        assert critical_point("xxz_field", exchange_j=j, field_h=h) == 1.0
+        thermal_state(from_xxz_field(XXZFieldParams(j, 1.0, h)), 1.0)
 
     def test_matches_bisection_inside_the_old_brackets(self):
         rng = np.random.default_rng(5)
@@ -314,6 +377,10 @@ class TestCriticalPoint:
              "^exchange_j must be finite, got nan$"),
             ("xxz_field", {"exchange_j": 1.0, "field_h": math.inf},
              "^field_h must be finite, got inf$"),
+            # finite crossings whose model's largest energy gap overflows
+            ("xxx_field", {"field_h": 9e307}, "^couplings too large: "),
+            ("xxx_field", {"field_h": -1e308}, "^couplings too large: "),
+            ("xxz_field", {"exchange_j": 1e307, "field_h": 1e308}, "^couplings too large: "),
         ],
     )
     def test_no_finite_crossing_is_one_error(self, model, values, message):

@@ -5,8 +5,16 @@ import random
 import numpy as np
 import pytest
 
+from thermotele import closed_form, sweeps
 from thermotele.averaging import HarmonicAverages, QuadratureGrid
-from thermotele.spin_models import thermal_state
+from thermotele.closed_form import (
+    RESOLVED_MAPPING,
+    ClosedFormInputs,
+    reconciled_det_optimal,
+    reconciled_pair_rate,
+    reconciled_prob_optimal,
+)
+from thermotele.spin_models import HeisenbergParams, thermal_state
 from thermotele.sweeps import (
     ENGINES,
     SweepRecord,
@@ -202,6 +210,83 @@ class TestRunSweep:
         assert isinstance(r, SweepRecord)
         assert 1.0 / 3.0 <= r.det_value <= 1.0
         assert r.prob_value >= r.det_value - 1e-10
+
+
+class TestClosedBatch:
+    """The closed half of a sweep builds one ``ClosedFormInputs`` per batch,
+    which every ``reconciled_*`` function reads in place of the params."""
+
+    GRID = QuadratureGrid(8, 8)
+    SPECS = [
+        ("ising", {"lam": 0.7}, "kt", 0.05, 3.0, 5),
+        ("xxz", {"bigj": 1.0, "field": 4.0, "kt": 0.3}, "delta", -2.0, 3.0, 4),
+        ("xy", {"kt": 1.0, "zeta": 0.5}, "lambda", 0.02, 2.5, 6),
+    ]
+
+    def batch(self, engines):
+        """The params, betas and oracle records (or None) of the closed
+        half of ``SPECS`` run on ``engines``, one per spec."""
+        params, betas, oracle = [], [], []
+        for engine, (model, fixed, swept, a, b, steps) in zip(engines, self.SPECS):
+            spec = SweepSpec(model, fixed, swept, a, b, steps, engine, self.GRID)
+            for values, kt in sweeps._grid_points(spec):
+                params.append(sweeps._params_for(model, values)[0])
+                betas.append(1.0 / kt)
+                oracle.append(
+                    evaluate_point(model, values, kt, "oracle", self.GRID)
+                    if engine == "both" else None
+                )
+        return params, np.array(betas), oracle
+
+    @pytest.mark.parametrize(
+        "engines", [["closed"] * 3, ["both"] * 3, ["closed", "both", "closed"]]
+    )
+    def test_inputs_give_what_the_params_give(self, engines):
+        params, betas, oracle = self.batch(engines)
+        inp = RESOLVED_MAPPING.inputs(params, betas)
+        assert RESOLVED_MAPPING.inputs(inp, None) is inp
+        assert reconciled_det_optimal(inp, betas) == reconciled_det_optimal(params, betas)
+        assert reconciled_prob_optimal(inp, betas) == reconciled_prob_optimal(params, betas)
+        rows = [k for k, r in enumerate(oracle) if r is not None]
+        if rows:
+            phis = [oracle[k].prob_phi for k in rows]
+            pairs = [tuple(map(int, oracle[k].prob_pair.split("+"))) for k in rows]
+            checked = inp if len(rows) == len(params) else inp.take(rows)
+            expected = reconciled_pair_rate([params[k] for k in rows], betas[rows], phis, pairs)
+            assert reconciled_pair_rate(checked, betas[rows], phis, pairs) == expected
+
+    def test_a_single_point_passes_through(self):
+        p = HeisenbergParams(0.3, -1.1, 0.7, 0.2, -0.4)
+        inp = RESOLVED_MAPPING.inputs(p, 2.0)
+        assert isinstance(inp, ClosedFormInputs)
+        assert reconciled_det_optimal(inp, 2.0) == reconciled_det_optimal(p, 2.0)
+        assert reconciled_prob_optimal(inp, 2.0) == reconciled_prob_optimal(p, 2.0)
+        rate = reconciled_pair_rate(p, 2.0, 0.4, (2, 3))
+        assert reconciled_pair_rate(inp, 2.0, 0.4, (2, 3)) == rate
+
+    @pytest.mark.parametrize(
+        "engines, tables",
+        [
+            (["closed"] * 3, 2),  # phi and psi, each once
+            (["both"] * 3, 2),  # the pair rates read the batch's phi terms
+            (["closed", "both", "closed"], 3),  # the checked rows' phi terms
+        ],
+    )
+    def test_each_branch_table_is_built_once_per_batch(self, engines, tables, monkeypatch):
+        built, branch_terms = [], closed_form._branch_terms
+
+        def counted(inp, branch):
+            built.append(branch)
+            return branch_terms(inp, branch)
+
+        specs = [
+            SweepSpec(model, fixed, swept, a, b, steps, engine, self.GRID)
+            for engine, (model, fixed, swept, a, b, steps) in zip(engines, self.SPECS)
+        ]
+        expected = run_sweeps(specs)
+        monkeypatch.setattr(closed_form, "_branch_terms", counted)
+        assert run_sweeps(specs) == expected
+        assert len(built) == tables
 
 
 class TestModelInput:
