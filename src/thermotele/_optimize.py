@@ -10,6 +10,12 @@ pair probability).  The maximum of such a ratio sits on a short, explicit
 list of angles, each the root of a quadratic form in (cos phi, sin phi),
 so both engines optimize by evaluating that list instead of searching.
 
+The oracle's twelve problems per point (four with D = 1) go to the scalar
+:func:`maximize_ratio`, as a column-wise call pays only from ~35 columns
+on; the closed engine's batches go to :func:`maximize_ratios` (its
+deterministic optima sit at +/- pi/4), and the classical bound's channel
+stacks to :func:`maximize_form`, each column with its scalar bits.
+
 The choice between candidates (correction sets or branch families, and
 postselected outcome pairs) lives here too, so both engines share one
 selection rule and one way of labelling what they report.
@@ -66,8 +72,8 @@ def maximize_ratio(num, den, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     ``num`` and ``den`` are (u, v, s) triples as in the module docstring.
     Of the angles whose value lies within ``tie_tol`` of the maximum, the
     one with the largest D wins, so flat or near-flat maxima resolve to the
-    best success rate.  A deterministic efficiency (D = 1) goes to
-    :func:`maximize_form` instead.
+    best success rate.  A deterministic efficiency has D = 1, the triple
+    (1, 1, 0).
 
     The candidates cover every angle either rule can pick: phi = 0, the
     maximum of D, the stationary points of N/D, the mask edges D = floor

@@ -34,25 +34,15 @@ from functools import lru_cache
 import numpy as np
 
 from .densmat import channel_matrix
-from .teleport import CORRECTION_KEYS, CorrectionLabel, _U_BY_KEY
+from .teleport import BELL_COS, BELL_SIN, CORRECTION_KEYS, CorrectionLabel, _U_BY_KEY
 
 SET_ORDER = tuple(CorrectionLabel)
 
 # below this average probability a conditional fidelity is undefined
 UNDEFINED_QBAR = 1e-14
 
-# |B_j(phi)> = cos(phi) * C_j + sin(phi) * S_j as 2x2 coefficient matrices
-# over (qubit-1, qubit-2) indices
-_BELL_COS = np.zeros((4, 2, 2))
-_BELL_SIN = np.zeros((4, 2, 2))
-_BELL_COS[0, 0, 0] = 1.0
-_BELL_SIN[0, 1, 1] = 1.0
-_BELL_COS[1, 1, 1] = -1.0
-_BELL_SIN[1, 0, 0] = 1.0
-_BELL_COS[2, 0, 1] = 1.0
-_BELL_SIN[2, 1, 0] = 1.0
-_BELL_COS[3, 1, 0] = -1.0
-_BELL_SIN[3, 0, 1] = 1.0
+# the Bell coefficients as 2x2 matrices over (qubit-1, qubit-2) indices
+_BELL_COS, _BELL_SIN = BELL_COS.reshape(4, 2, 2), BELL_SIN.reshape(4, 2, 2)
 
 
 @lru_cache(maxsize=32)

@@ -264,8 +264,8 @@ def _check_critical_flags(args, actions) -> None:
 
 
 def _cmd_critical(args) -> int:
-    value = critical_point(args.model, **_crossing_values(args))
-    print(f"{value:.12f}")
+    # repr keeps every digit of a crossing at any scale
+    print(repr(critical_point(args.model, **_crossing_values(args))))
     return 0
 
 

@@ -76,9 +76,6 @@ class HeisenbergParams:
             _require_finite(jx=jx, jy=jy, jz=self.jz, ha=ha, hb=hb)
             raise ValueError("couplings too large: their largest energy gap overflows")
 
-    def derived(self) -> "DerivedParams":
-        return DerivedParams.from_couplings(self.jx, self.jy, self.ha, self.hb)
-
 
 def elementwise(fn, nin: int):
     """The ``math`` function ``fn`` applied to floats or, entry by entry,
@@ -225,12 +222,12 @@ def _sym2_eigenpairs(a: float, b: float, c: float):
 def _blocks(p: HeisenbergParams):
     """The eigenpairs of the phi block on (|00>, |11>) and of the psi block
     on (|01>, |10>), each as ``_sym2_eigenpairs`` returns them."""
-    d = p.derived()
+    sigma_h, delta_h, delta_j, sigma_j = p.ha + p.hb, p.ha - p.hb, p.jx - p.jy, p.jx + p.jy
     # phi block: [[jz + sigma_h, delta_j], [delta_j, jz - sigma_h]]
     # psi block: [[-jz + delta_h, sigma_j], [sigma_j, -jz - delta_h]]
     return (
-        _sym2_eigenpairs(p.jz + d.sigma_h, p.jz - d.sigma_h, d.delta_j),
-        _sym2_eigenpairs(-p.jz + d.delta_h, -p.jz - d.delta_h, d.sigma_j),
+        _sym2_eigenpairs(p.jz + sigma_h, p.jz - sigma_h, delta_j),
+        _sym2_eigenpairs(-p.jz + delta_h, -p.jz - delta_h, sigma_j),
     )
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _version, closed_form
-from ._optimize import SET_FAMILY, labeled, maximize_form, maximize_ratio, select
+from ._optimize import SET_FAMILY, labeled, maximize_ratio, select
 from .averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from .closed_form import (
     MIN_PAIR_PROBABILITY,
@@ -194,20 +194,19 @@ _PAIRS = ((1, 4), (2, 3))
 def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     """Oracle optima of one point as (deterministic, probabilistic)
     results: every set, and for the probabilistic protocol every outcome
-    pair, is optimized over phi, then the shared rule picks one.
+    pair, is optimized over phi by ``maximize_ratio`` (D = 1 for the
+    deterministic protocol), then the shared rule picks one.
 
     The probabilistic candidates follow the closed-form optimizer's rules:
     angles below MIN_PAIR_PROBABILITY are unreachable, and fidelity ties
     go to the larger success rate.
     """
     harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
-    # the sets' deterministic optima, one column per set
-    det_values, det_phis = maximize_form(harmonics.joint_coef.sum(axis=1))
-    det_values, det_phis = det_values.tolist(), det_phis.tolist()
-    k = select(det_values)
+    q, joint = harmonics.q_coef, harmonics.joint_coef
+    # the sets' deterministic optima, D = 1
+    dets = [maximize_ratio(num, (1.0, 1.0, 0.0)) for num in joint.sum(axis=1).T.tolist()]
     # both pairs' (u, v, s) tables at once: column 0 is outcomes 1 + 4,
     # column 1 outcomes 2 + 3
-    q, joint = harmonics.q_coef, harmonics.joint_coef
     dens = (q[:, [0, 1]] + q[:, [3, 2]]).T.tolist()
     nums = (joint[:, [0, 1]] + joint[:, [3, 2]]).transpose(1, 2, 0).tolist()
     probs = [
@@ -215,13 +214,13 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
         for den, pair_nums in zip(dens, nums)
         for num in pair_nums
     ]
-    # candidate j is set j % 4 of pair j // 4
-    j = select([opt.value for opt in probs])
-    prob = probs[j]
-    return (
-        labeled(*_SET_FAMILIES[k], None, det_values[k], det_phis[k]),
-        labeled(*_SET_FAMILIES[j % 4], _PAIRS[j // 4], prob.value, prob.phi, prob.den),
-    )
+    # candidate k is set k % 4 of pair k // 4; the deterministic protocol
+    # keeps every outcome, and its D = 1 is its success rate
+    results = []
+    for opts, pairs in ((dets, (None,)), (probs, _PAIRS)):
+        k = select([opt.value for opt in opts])
+        results.append(labeled(*_SET_FAMILIES[k % 4], pairs[k // 4], *opts[k]))
+    return tuple(results)
 
 
 def _record(model, p, native, kt, engine, det, prob) -> SweepRecord:

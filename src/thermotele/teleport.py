@@ -53,6 +53,12 @@ CORRECTION_KEYS = {
 }
 
 
+# |B_j(phi)> = cos(phi) * BELL_COS[j] + sin(phi) * BELL_SIN[j] over
+# (|00>, |01>, |10>, |11>), rows j = 1..4 as in the module docstring
+BELL_COS = np.array([[1, 0, 0, 0], [0, 0, 0, -1], [0, 1, 0, 0], [0, 0, -1, 0]], dtype=float)
+BELL_SIN = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
+
+
 @dataclass(frozen=True)
 class GeneralizedBellBasis:
     """The four rank-1 projectors of the measurement basis at angle phi."""
@@ -72,12 +78,8 @@ def bell_basis(phi: float) -> GeneralizedBellBasis:
         raise ValueError("phi must be finite")
     phi = float(phi) % math.pi
     c, s = math.cos(phi), math.sin(phi)
-    kets = (
-        np.array([c, 0, 0, s], dtype=complex),
-        np.array([s, 0, 0, -c], dtype=complex),
-        np.array([0, c, s, 0], dtype=complex),
-        np.array([0, s, -c, 0], dtype=complex),
-    )
+    # cos != 0 and sin >= 0 on [0, pi), so each entry is c, s, -c or +0.0
+    kets = tuple((c * BELL_COS + s * BELL_SIN).astype(complex))
     projectors = tuple(np.outer(k, k.conj()) for k in kets)
     return GeneralizedBellBasis(phi=phi, kets=kets, projectors=projectors)
 

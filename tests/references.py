@@ -28,13 +28,21 @@ The level-crossing section is the search that
 forms: ``_ground_gap_xxz`` and ``_bisect``, moved here unchanged, and
 ``bisected_crossing``, which calls them with the old brackets.
 
-The last section is ``thermotele.spin_models.thermal_state`` as it was
-before it wrote the state's entries from the two blocks: it embeds the
-four levels of ``block_spectrum`` in the full basis and sums their
+The thermal-state section is ``thermotele.spin_models.thermal_state`` as
+it was before it wrote the state's entries from the two blocks: it embeds
+the four levels of ``block_spectrum`` in the full basis and sums their
 weighted outer products.  ``thermal_state_by_levels`` keeps it verbatim,
 with ``block_spectrum`` and ``_sym2_eigenpairs`` (array eigenvectors,
-``np.linalg.norm`` norms) as they were then, so the tests can compare the
-library's states with it byte for byte.
+``np.linalg.norm`` norms) as they were then (``block_spectrum`` forms its
+``DerivedParams`` directly, as ``HeisenbergParams.derived`` did), so the
+tests can compare the library's states with it byte for byte.
+
+The oracle section holds ``thermotele.sweeps._oracle_point`` as it was
+when it solved the four deterministic problems of a point as four columns
+of ``maximize_form``, kept verbatim as ``oracle_point_by_form``, and
+``thermotele.teleport.bell_basis`` as it was when it wrote each ket
+literally, kept verbatim as ``bell_basis_by_literals``.  The tests compare
+the library's oracle records and Bell kets with them byte for byte.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scalar_reference
 
-from thermotele._optimize import select
+from thermotele._optimize import labeled, maximize_form, maximize_ratio, select
 from thermotele.averaging import (
     _BELL_COS,
     _BELL_SIN,
@@ -57,6 +65,7 @@ from thermotele.averaging import (
     _state_batch,
 )
 from thermotele.classical_limit import BlochVector, SeparableChannel
+from thermotele.closed_form import MIN_PAIR_PROBABILITY, SUCCESS_TIE_TOL
 from thermotele.densmat import (
     HERMITICITY_TOL,
     DensityMatrix,
@@ -70,14 +79,22 @@ from thermotele.spin_models import (
     PAULI_Y,
     PAULI_Z,
     BlockLevel,
+    DerivedParams,
     HeisenbergParams,
     ThermalState,
     XXZFieldParams,
     block_spectrum,
     from_xxz_field,
     require_temperature,
+    thermal_state,
 )
-from thermotele.teleport import _U_BY_KEY, CORRECTION_KEYS, CorrectionLabel
+from thermotele.sweeps import _PAIRS, _SET_FAMILIES
+from thermotele.teleport import (
+    _U_BY_KEY,
+    CORRECTION_KEYS,
+    CorrectionLabel,
+    GeneralizedBellBasis,
+)
 
 # ---------------------------------------------------------------------------
 # product channels
@@ -414,7 +431,7 @@ def block_spectrum_by_levels(p: HeisenbergParams):
     Returns four ``BlockLevel`` entries ordered as (phi+, phi-, psi+, psi-),
     i.e. energies (jz + eta, jz - eta, -jz + chi, -jz - chi).
     """
-    d = p.derived()
+    d = DerivedParams.from_couplings(p.jx, p.jy, p.ha, p.hb)
     # phi block on (|00>, |11>): [[jz + sigma_h, delta_j], [delta_j, jz - sigma_h]]
     (ep, up), (em, um) = _sym2_eigenpairs(
         p.jz + d.sigma_h, p.jz - d.sigma_h, d.delta_j
@@ -453,3 +470,61 @@ def thermal_state_by_levels(p: HeisenbergParams, kT: float) -> ThermalState:
     for lv, w in zip(levels, weights):
         rho += (w / z) * np.outer(lv.vector, lv.vector)
     return ThermalState(rho=DensityMatrix(rho), beta=beta)
+
+
+# ---------------------------------------------------------------------------
+# the oracle point with its column-wise deterministic optima, and the
+# literal Bell kets
+
+
+def oracle_point_by_form(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
+    """Oracle optima of one point as (deterministic, probabilistic)
+    results: every set, and for the probabilistic protocol every outcome
+    pair, is optimized over phi, then the shared rule picks one.
+
+    The probabilistic candidates follow the closed-form optimizer's rules:
+    angles below MIN_PAIR_PROBABILITY are unreachable, and fidelity ties
+    go to the larger success rate.
+    """
+    harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
+    # the sets' deterministic optima, one column per set
+    det_values, det_phis = maximize_form(harmonics.joint_coef.sum(axis=1))
+    det_values, det_phis = det_values.tolist(), det_phis.tolist()
+    k = select(det_values)
+    # both pairs' (u, v, s) tables at once: column 0 is outcomes 1 + 4,
+    # column 1 outcomes 2 + 3
+    q, joint = harmonics.q_coef, harmonics.joint_coef
+    dens = (q[:, [0, 1]] + q[:, [3, 2]]).T.tolist()
+    nums = (joint[:, [0, 1]] + joint[:, [3, 2]]).transpose(1, 2, 0).tolist()
+    probs = [
+        maximize_ratio(num, den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL)
+        for den, pair_nums in zip(dens, nums)
+        for num in pair_nums
+    ]
+    # candidate j is set j % 4 of pair j // 4
+    j = select([opt.value for opt in probs])
+    prob = probs[j]
+    return (
+        labeled(*_SET_FAMILIES[k], None, det_values[k], det_phis[k]),
+        labeled(*_SET_FAMILIES[j % 4], _PAIRS[j // 4], prob.value, prob.phi, prob.den),
+    )
+
+
+def bell_basis_by_literals(phi: float) -> GeneralizedBellBasis:
+    """Build the generalized Bell basis at measurement angle ``phi``.
+
+    ``phi`` is reduced mod pi (the projectors have period pi: shifting phi
+    by pi only flips the sign of every ket).
+    """
+    if not math.isfinite(phi):
+        raise ValueError("phi must be finite")
+    phi = float(phi) % math.pi
+    c, s = math.cos(phi), math.sin(phi)
+    kets = (
+        np.array([c, 0, 0, s], dtype=complex),
+        np.array([s, 0, 0, -c], dtype=complex),
+        np.array([0, c, s, 0], dtype=complex),
+        np.array([0, s, -c, 0], dtype=complex),
+    )
+    projectors = tuple(np.outer(k, k.conj()) for k in kets)
+    return GeneralizedBellBasis(phi=phi, kets=kets, projectors=projectors)

@@ -90,7 +90,22 @@ def test_critical_subcommand(capsys):
 def test_critical_outside_the_old_bracket(capsys):
     # the bisection this replaced searched J in [1e-6, 10] only
     assert cli.main(["critical", "xxx_field", "--field", "200"]) == 0
-    assert capsys.readouterr().out == "25.000000000000\n"
+    assert capsys.readouterr().out == "25.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["critical", "xxx_field", "--field", "1e-20"], 1.25e-21),
+        (["critical", "xxz_field", "--bigj", "1", "--field", "4.000000000001"],
+         (4.000000000001 - 4.0) / 4.0),
+        (["critical", "xy"], 1.0),
+    ],
+)
+def test_critical_prints_every_digit(argv, value, capsys):
+    # a fixed number of decimals printed these small crossings as zero
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"{value!r}\n"
 
 
 def test_critical_at_the_largest_buildable_field(capsys):

@@ -27,6 +27,7 @@ from thermotele.closed_form import (
 )
 from thermotele.densmat import DensityMatrix
 from thermotele.spin_models import (
+    DerivedParams,
     HeisenbergParams,
     XXZFieldParams,
     XYFieldParams,
@@ -217,7 +218,7 @@ class TestGBranch:
         # product-ground channel at beta = 50: the shifted denominator of
         # the printed phi form is absorbed to exactly zero at phi = pi/2
         p = from_xxz_field(XXZFieldParams(1.0, -0.2, 4.0))
-        inp = ClosedFormInputs(p.derived(), -p.jz, 50.0)
+        inp = ClosedFormInputs(DerivedParams.from_couplings(p.jx, p.jy, p.ha, p.hb), -p.jz, 50.0)
         with pytest.raises(ValueError, match="degenerate conditional average"):
             g_branch(inp, Branch.PHI, math.pi / 2)
 
@@ -602,8 +603,12 @@ def test_batches_straddling_the_taylor_switch_equal_scalar_reference():
     betas = (1.0, 5.0, 9.99, 10.01, 20.0, 100.0)
     cases = [(p, beta, 0.4 + 0.1 * k) for p in (small_eta, small_chi)
              for k, beta in enumerate(betas)]
-    products = [beta * p.derived().eta for p, beta, _ in cases[:6]]
-    products += [beta * p.derived().chi for p, beta, _ in cases[6:]]
+
+    def derived(p):
+        return DerivedParams.from_couplings(p.jx, p.jy, p.ha, p.hb)
+
+    products = [beta * derived(p).eta for p, beta, _ in cases[:6]]
+    products += [beta * derived(p).chi for p, beta, _ in cases[6:]]
     assert min(products) < 1e-8 < max(products)
     assert_batch_equals_reference(cases)
 

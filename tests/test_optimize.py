@@ -138,11 +138,13 @@ numerators = st.one_of(
 @given(st.lists(numerators, min_size=1, max_size=12))
 def test_columns_equal_the_scalar_reference(nums):
     # D = 1: each column of the column-wise optimizer against the earlier
-    # optimizer's den=None path, value and angle, bit for bit
+    # optimizer's den=None path and the scalar optimizer's D = (1, 1, 0),
+    # value and angle, bit for bit
     values, phis = maximize_form(np.array(nums).T)
     for num, value, phi in zip(nums, values, phis):
         opt = ref.maximize_ratio(num)
         assert (value, phi) == (opt.value, opt.phi)
+        assert (value, phi, 1.0) == maximize_ratio(num, (1.0, 1.0, 0.0))
 
 
 @st.composite

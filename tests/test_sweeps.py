@@ -4,9 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from references import oracle_point_by_form
 
 from thermotele import closed_form, sweeps
-from thermotele.averaging import HarmonicAverages, QuadratureGrid
+from thermotele.averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from thermotele.closed_form import (
     RESOLVED_MAPPING,
     ClosedFormInputs,
@@ -210,6 +211,54 @@ class TestRunSweep:
         assert isinstance(r, SweepRecord)
         assert 1.0 / 3.0 <= r.det_value <= 1.0
         assert r.prob_value >= r.det_value - 1e-10
+
+
+def _oracle_sample(rng, count: int) -> list:
+    """``count`` (model, values, kt) points, the six models in turn, with
+    kT log-uniform in [1e-2, 1e2].  Raw couplings are uniform in [-3, 3],
+    every other set with about half of them zero and every third rounded
+    to integers (degenerate levels)."""
+    points = []
+    for k in range(count):
+        u = rng.uniform
+        drawn = {
+            "lam": u(0.0, 2.5), "zeta": u(-1.0, 1.0), "bigj": u(-2.5, 2.5),
+            "delta": u(-2.0, 3.0), "field": u(-8.0, 8.0),
+            **dict(zip(sweeps._RAW_COUPLINGS, u(-3.0, 3.0, 5))),
+        }
+        model = sweeps.MODELS[k % len(sweeps.MODELS)]
+        values = {key: drawn[key] for key in sweeps.MODEL_PARAMS[model].reads}
+        if model == "raw":
+            if k % 2:
+                values = {key: v * (rng.random() < 0.5) for key, v in values.items()}
+            if k % 3 == 0:
+                values = {key: round(v) for key, v in values.items()}
+        points.append((model, values, 10.0 ** u(-2.0, 2.0)))
+    return points
+
+
+class TestOracleBits:
+    # flat and degenerate channels: the maximally mixed state, fields
+    # only, and both xxz crossings of the figures
+    FIXED = [
+        ("raw", dict.fromkeys(sweeps._RAW_COUPLINGS, 0.0), 1.0),
+        ("xx", {"lam": 0.0}, 0.5),
+        ("xxx", {"bigj": 1.0, "field": 8.0}, 1e-2),
+        ("xxz", {"bigj": 1.0, "delta": 0.0, "field": 4.0}, 1e-2),
+    ]
+
+    def test_records_equal_the_column_wise_oracle(self):
+        # all twelve problems of a point are scalar now; the oracle that
+        # solved its four deterministic ones with maximize_form must give
+        # the same records, by repr
+        differ = []
+        for model, values, kt in self.FIXED + _oracle_sample(np.random.default_rng(22), 600):
+            r = evaluate_point(model, values, kt, "oracle")
+            det, prob = oracle_point_by_form(r.params, kt, DEFAULT_GRID)
+            expected = sweeps._record(model, r.params, r.native, kt, "oracle", det, prob)
+            if repr(r) != repr(expected):
+                differ.append((model, values, kt))
+        assert differ == [], f"{len(differ)} points differ, first {differ[0]}"
 
 
 class TestClosedBatch:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from references import bell_basis_by_literals
 
 from thermotele.densmat import DensityMatrix, PureQubit
 from thermotele.spin_models import HeisenbergParams, thermal_state
@@ -66,6 +67,21 @@ class TestBellBasis:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             bell_basis(float("inf"))
+
+
+class TestBellBasisBits:
+    def test_kets_equal_the_literal_construction(self):
+        # the kets come from the BELL_COS / BELL_SIN tables; the literal
+        # kets they replaced must give the same bytes, projectors included
+        rng = np.random.default_rng(22)
+        angles = [0.0, math.pi / 4, math.pi / 2, 3.14159, math.pi, -0.0, -1e-300, 1e-300]
+        angles += rng.uniform(0.0, math.pi, 300).tolist() + rng.uniform(-10, 10, 50).tolist()
+        for phi in angles:
+            new, old = bell_basis(phi), bell_basis_by_literals(phi)
+            assert new.phi == old.phi
+            for a, b in zip(new.kets + new.projectors, old.kets + old.projectors):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes(), phi
 
 
 class TestCorrectionSets:
