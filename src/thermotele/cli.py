@@ -116,6 +116,7 @@ def build_parser():
     # stored under critical_point's keywords
     p_crit.add_argument("--field", dest="field_h", metavar="FIELD", type=float, default=None)
     p_crit.add_argument("--bigj", dest="exchange_j", metavar="BIGJ", type=float, default=None)
+    p_crit.add_argument("--zeta", type=float, default=None)
 
     commands = {
         "point": p_point, "sweep": p_sweep, "figure": p_fig,
@@ -253,7 +254,8 @@ def _cmd_validate(args) -> int:
 
 def _crossing_values(args) -> dict:
     """The crossing parameters given, by ``critical_point``'s keywords."""
-    return {k: getattr(args, k) for k in ("field_h", "exchange_j") if getattr(args, k) is not None}
+    keys = ("field_h", "exchange_j", "zeta")
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def _check_critical_flags(args, actions) -> None:

@@ -62,12 +62,14 @@ class ClosedFormInputs:
 
     ``derived`` and ``jz`` are deliberately independent fields so that a
     convention mapping can flip the sign of jz without touching the gap
-    parameters (which do not involve jz).
+    parameters (which do not involve jz).  ``mapping`` is the
+    ``ConventionMapping`` that built the inputs, or ``None``.
     """
 
     derived: DerivedParams
     jz: float | np.ndarray
     beta: float | np.ndarray
+    mapping: "ConventionMapping | None" = None
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
@@ -89,7 +91,9 @@ class ClosedFormInputs:
     def take(self, index) -> "ClosedFormInputs":
         """The sub-batch ``index`` (numpy indexing) of a batch."""
         derived = {k: v[index] for k, v in vars(self.derived).items()}
-        return ClosedFormInputs(DerivedParams(**derived), self.jz[index], self.beta[index])
+        return replace(
+            self, derived=DerivedParams(**derived), jz=self.jz[index], beta=self.beta[index]
+        )
 
     # each printed expression reads one branch's hyperbolic terms; a branch
     # is built once per inputs, and only if some expression reads it
@@ -267,13 +271,18 @@ class ConventionMapping:
 
     def inputs(self, p, beta) -> ClosedFormInputs:
         """Inputs of one HeisenbergParams or of a sequence of them, with
-        one beta each.  Inputs this mapping already built pass through
-        unchanged, with their own beta, so the expressions that read them
-        share their branch terms."""
+        one beta each.  Inputs this mapping built at an equal beta pass
+        through unchanged, so the expressions that read them share their
+        branch terms; any other inputs are a ValueError."""
         if isinstance(p, ClosedFormInputs):
+            if p.mapping != self:
+                built = p.mapping.name if p.mapping else "no mapping"
+                raise ValueError(f"inputs built under {built} cannot be read under {self.name}")
+            if not np.array_equal(p.beta, beta):
+                raise ValueError("inputs built at another beta cannot be read at this one")
             return p
         inp = ClosedFormInputs.from_heisenberg(p, beta)
-        return replace(inp, jz=-inp.jz) if self.flip_jz else inp
+        return replace(inp, jz=-inp.jz if self.flip_jz else inp.jz, mapping=self)
 
     def formula_branch(self, physical: Branch) -> Branch:
         if not self.swap_branches:

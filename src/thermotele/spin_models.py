@@ -291,7 +291,9 @@ def thermal_state(p: HeisenbergParams, kT: float) -> ThermalState:
 
 
 # the keyword arguments of critical_point each crossing reads
-CRITICAL_PARAMS = {"xy": (), "xxx_field": ("field_h",), "xxz_field": ("exchange_j", "field_h")}
+CRITICAL_PARAMS = {
+    "xy": ("zeta",), "xxx_field": ("field_h",), "xxz_field": ("exchange_j", "field_h")
+}
 
 
 def critical_keys(model: str, keys) -> tuple:
@@ -310,6 +312,7 @@ def critical_point(
     *,
     field_h: float | None = None,
     exchange_j: float | None = None,
+    zeta: float | None = None,
 ) -> float:
     """The ground-level crossing of the channel Hamiltonian, in closed form.
 
@@ -317,21 +320,29 @@ def critical_point(
     psi-sector one -jz - chi is 4 J Delta + 4|J| - |h| under the XXZ
     mapping (jz = 2 J Delta, eta = |h|, chi = 4|J|).  This gap is linear,
     with the root J_c = |h| / 8 for "xxx_field" (Delta = 1; the gap is -|h|
-    for J <= 0) and Delta_c = (|h| - 4|J|) / (4 J) for "xxz_field".  "xy"
-    gives 1.0 (in lam), the infinite chain's literature value: the two-qubit
-    channel crosses there only at zeta = 0, and elsewhere at
-    lam = 1 / sqrt(1 - zeta^2), which needs zeta and is not computed here.
+    for J <= 0) and Delta_c = (|h| - 4|J|) / (4 J) for "xxz_field".  Under
+    the xy mapping (jz = 0, eta = 2 sqrt(1 + lam^2 zeta^2), chi = 2 lam) the
+    gap 2 lam - eta has the root lam_c = 1 / sqrt(1 - zeta^2) for "xy".  The
+    infinite xy chain's literature value lam = 1 is the two-qubit crossing
+    only at zeta = 0.
 
     A missing or unread parameter (``CRITICAL_PARAMS``), a value that is
-    not finite, h = 0 for xxx_field and J = 0 for xxz_field (no crossing),
-    a Delta_c that overflows and a crossing whose model cannot be built
-    (``HeisenbergParams``' coupling bound) are each a ValueError.
+    not finite, h = 0 for xxx_field, J = 0 for xxz_field and |zeta| >= 1
+    for xy (no crossing), a Delta_c that overflows and a crossing whose
+    model cannot be built (``HeisenbergParams``' coupling bound) are each a
+    ValueError.
     """
-    given = {k: v for k, v in (("exchange_j", exchange_j), ("field_h", field_h)) if v is not None}
+    given = dict(exchange_j=exchange_j, field_h=field_h, zeta=zeta)
+    given = {k: v for k, v in given.items() if v is not None}
     reject_keys(model, *critical_keys(model, given))
-    if model == "xy":
-        return 1.0
     _require_finite(**given)
+    if model == "xy":
+        # 1 - zeta^2 as a product, without cancellation near |zeta| = 1
+        if not (1.0 - zeta) * (1.0 + zeta) > 0.0:
+            raise ValueError("no level crossing found: the xy channel has none at |zeta| >= 1")
+        lam = 1.0 / math.sqrt((1.0 - zeta) * (1.0 + zeta))
+        from_xy_field(XYFieldParams(lam, zeta))
+        return lam
     if model == "xxx_field":
         if field_h == 0.0:
             raise ValueError("no level crossing found")

@@ -5,12 +5,15 @@ import pytest
 import references as ref
 from references import product_avg_fidelity, product_opt_fidelity, random_bloch_vector
 
+from thermotele import classical_limit
+from thermotele._checks import check_classical_bound
 from thermotele.averaging import QuadratureGrid, average_all
 from thermotele.classical_limit import (
     MAX_TERMS,
     BlochVector,
     SeparableChannel,
     _ball_points,
+    _classical_optima,
     _flat_dirichlet,
     _mixtures,
     _random_mixtures,
@@ -233,15 +236,46 @@ class TestClassicalBound:
         assert best >= 2.0 / 3.0 - 1e-10  # saturating case included
 
     def test_stack_equals_the_channel_by_channel_loop(self):
-        pole = BlochVector(0, 0, 1)
-        stack = np.concatenate([
-            SeparableChannel(((1.0, pole, pole),)).density().mat[None],
-            _random_mixtures(np.random.default_rng(23), 1000),
-        ])
-        optima = oracle_det_optimum(stack, GRID16)
+        optima = _classical_optima(1000, 23, GRID16)
         expected = ref.classical_optima(1000, 23, GRID16)
         assert optima.tolist() == expected
         assert verify_classical_bound(1000, 23, GRID16) == max(expected)
+
+    @pytest.mark.parametrize("seed", [20260813, 23, 42, 4102])
+    def test_the_pole_row_is_the_channel_alone(self, seed):
+        pole = BlochVector(0.0, 0.0, 1.0)
+        alone = oracle_det_optimum(SeparableChannel(((1.0, pole, pole),)).density(), GRID16)
+        optima = _classical_optima(1000, seed, GRID16)
+        assert repr(float(optima[0])) == repr(alone) == "0.6666666666666656"
+        rest = oracle_det_optimum(_random_mixtures(np.random.default_rng(seed), 1000), GRID16)
+        assert optima[1:].tobytes() == rest.tobytes()
+        assert verify_classical_bound(1000, seed) == float(np.max(optima))
+
+    def test_one_oracle_pass_per_run(self, monkeypatch):
+        calls = {"oracle_det_optimum": 0, "HarmonicAverages": 0}
+
+        def counted(name):
+            original = getattr(classical_limit, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a single channel was built")
+
+        for name in calls:
+            monkeypatch.setattr(classical_limit, name, counted(name))
+        for name in ("BlochVector", "SeparableChannel"):
+            monkeypatch.setattr(classical_limit, name, refused)
+        verify_classical_bound(1000, 23)
+        assert calls == {"oracle_det_optimum": 1, "HarmonicAverages": 1}
+        result = check_classical_bound(23, samples=1000)
+        assert calls == {"oracle_det_optimum": 2, "HarmonicAverages": 2}
+        assert result.details["max_fidelity"] == verify_classical_bound(1000, 23)
+        assert result.details["saturating"] == 0.6666666666666656
 
     def test_entangled_control_discriminates(self):
         singlet = DensityMatrix.from_pure(SINGLET)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -99,7 +100,8 @@ def test_critical_outside_the_old_bracket(capsys):
         (["critical", "xxx_field", "--field", "1e-20"], 1.25e-21),
         (["critical", "xxz_field", "--bigj", "1", "--field", "4.000000000001"],
          (4.000000000001 - 4.0) / 4.0),
-        (["critical", "xy"], 1.0),
+        (["critical", "xy", "--zeta", "0"], 1.0),
+        (["critical", "xy", "--zeta", "0.5"], 1.0 / math.sqrt(0.75)),
     ],
 )
 def test_critical_prints_every_digit(argv, value, capsys):
@@ -120,6 +122,7 @@ def test_critical_at_the_largest_buildable_field(capsys):
         (["critical", "xxz_field", "--field", "4"], ("--bigj", "--field")),
         (["critical", "xxz_field", "--bigj", "1"], ("--bigj", "--field")),
         (["critical", "xxx_field"], ("--field",)),
+        (["critical", "xy"], ("--zeta",)),
     ],
 )
 def test_critical_names_its_missing_flags(argv, flags, capsys):
@@ -195,6 +198,9 @@ def test_figure_subcommand(tmp_path, capsys):
         ["validate", "--seed", "-5"],
         # a flag given twice
         ["point", "--model", "xx", "--lambda", "0.7", "--lambda", "1.3", "--kt", "0.1"],
+        # the xy crossing without a zeta, and at a zeta where there is none
+        ["critical", "xy"],
+        ["critical", "xy", "--zeta", "1"],
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

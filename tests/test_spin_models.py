@@ -287,9 +287,28 @@ class TestCouplingBound:
         assert np.isfinite(thermal_state(p, 1.0).rho.mat).all()
 
 
+def _ground_gap_xy(lam: float, zeta: float) -> float:
+    """The phi-sector minus the psi-sector ground level of xy at (lam, zeta)."""
+    levels = block_spectrum(from_xy_field(XYFieldParams(lam, zeta)))
+    phi = min(lv.energy for lv in levels if lv.sector == "phi")
+    psi = min(lv.energy for lv in levels if lv.sector == "psi")
+    return phi - psi
+
+
 class TestCriticalPoint:
     def test_xy(self):
-        assert critical_point("xy") == 1.0
+        assert critical_point("xy", zeta=0.0) == 1.0
+
+    def test_xy_gap_changes_sign_at_the_crossing(self):
+        zetas = [0.0, 0.3, 0.5, -0.5, 0.9, 0.999, -0.999, 1e-9]
+        zetas += np.random.default_rng(7).uniform(-0.999, 0.999, 200).tolist()
+        for zeta in zetas:
+            lam_c = critical_point("xy", zeta=zeta)
+            lo, hi = lam_c * (1.0 - 1e-9), lam_c * (1.0 + 1e-9)
+            assert _ground_gap_xy(lo, zeta) * _ground_gap_xy(hi, zeta) < 0.0, zeta
+            # the infinite chain's lam = 1 is the channel's crossing only near zeta = 0
+            at_one = _ground_gap_xy(1.0 - 1e-3, zeta) * _ground_gap_xy(1.0 + 1e-3, zeta) < 0.0
+            assert at_one == (lam_c < 1.0 + 1e-3), zeta
 
     def test_xxx_field(self):
         assert abs(critical_point("xxx_field", field_h=8.0) - 1.0) <= 1e-9
@@ -312,6 +331,8 @@ class TestCriticalPoint:
             ("xxx_field", {"field_h": 200.0}, 25.0),
             ("xxz_field", {"exchange_j": 1.0, "field_h": 40.0}, 9.0),
             ("xxz_field", {"exchange_j": -1.0, "field_h": 4.0}, 0.0),
+            ("xy", {"zeta": 0.5}, 1.0 / math.sqrt(0.75)),
+            ("xy", {"zeta": -0.5}, 1.0 / math.sqrt(0.75)),
         ],
     )
     def test_exact_values(self, model, values, expected):
@@ -384,6 +405,11 @@ class TestCriticalPoint:
             ("xxx_field", {"field_h": 9e307}, "^couplings too large: "),
             ("xxx_field", {"field_h": -1e308}, "^couplings too large: "),
             ("xxz_field", {"exchange_j": 1e307, "field_h": 1e308}, "^couplings too large: "),
+            # the xy channel crosses only at |zeta| < 1
+            ("xy", {"zeta": 1.0}, "^no level crossing found: "),
+            ("xy", {"zeta": -1.0}, "^no level crossing found: "),
+            ("xy", {"zeta": 1.5}, "^no level crossing found: "),
+            ("xy", {"zeta": -math.inf}, "^zeta must be finite, got -inf$"),
         ],
     )
     def test_no_finite_crossing_is_one_error(self, model, values, message):
@@ -397,9 +423,11 @@ class TestCriticalPoint:
     @pytest.mark.parametrize(
         "model, values, message",
         [
-            ("xy", {"field_h": 3.0}, "does not read field_h"),
+            ("xy", {"zeta": 0.5, "field_h": 3.0}, "does not read field_h"),
             ("xxx_field", {"field_h": 8.0, "exchange_j": 5.0}, "does not read exchange_j"),
             ("xxz_field", {"field_h": 4.0}, "needs values for exchange_j and field_h"),
+            ("xy", {}, "needs a value for zeta"),
+            ("xy", {"field_h": 3.0}, "needs a value for zeta; it does not read field_h"),
         ],
     )
     def test_names_what_the_crossing_needs_or_does_not_read(self, model, values, message):

@@ -9,6 +9,7 @@ from references import oracle_point_by_form
 from thermotele import closed_form, sweeps
 from thermotele.averaging import DEFAULT_GRID, HarmonicAverages, QuadratureGrid
 from thermotele.closed_form import (
+    CANDIDATE_MAPPINGS,
     RESOLVED_MAPPING,
     ClosedFormInputs,
     reconciled_det_optimal,
@@ -293,7 +294,7 @@ class TestClosedBatch:
     def test_inputs_give_what_the_params_give(self, engines):
         params, betas, oracle = self.batch(engines)
         inp = RESOLVED_MAPPING.inputs(params, betas)
-        assert RESOLVED_MAPPING.inputs(inp, None) is inp
+        assert RESOLVED_MAPPING.inputs(inp, betas) is inp
         assert reconciled_det_optimal(inp, betas) == reconciled_det_optimal(params, betas)
         assert reconciled_prob_optimal(inp, betas) == reconciled_prob_optimal(params, betas)
         rows = [k for k, r in enumerate(oracle) if r is not None]
@@ -312,6 +313,32 @@ class TestClosedBatch:
         assert reconciled_prob_optimal(inp, 2.0) == reconciled_prob_optimal(p, 2.0)
         rate = reconciled_pair_rate(p, 2.0, 0.4, (2, 3))
         assert reconciled_pair_rate(inp, 2.0, 0.4, (2, 3)) == rate
+
+    def test_inputs_of_another_mapping_or_beta_are_refused(self):
+        p = HeisenbergParams(1.0, 0.3, 0.8, -0.4, 0.2)
+        assert reconciled_prob_optimal(p, 2.0).best_value == 0.9899105027326298
+        cases = [
+            (CANDIDATE_MAPPINGS[0].inputs(p, 2.0), "built under identity"),
+            (ClosedFormInputs.from_heisenberg(p, 2.0), "built under no mapping"),
+            (RESOLVED_MAPPING.inputs(p, 5.0), "at another beta"),
+        ]
+        for inp, message in cases:
+            for call in (reconciled_det_optimal, reconciled_prob_optimal):
+                with pytest.raises(ValueError, match=message):
+                    call(inp, 2.0)
+            with pytest.raises(ValueError, match=message):
+                reconciled_pair_rate(inp, 2.0, 0.4)
+        params, betas, _ = self.batch(["closed"] * 3)
+        inp = RESOLVED_MAPPING.inputs(params, betas)
+        with pytest.raises(ValueError, match="at another beta"):
+            reconciled_det_optimal(inp, betas[::-1])
+        # a sub-batch keeps its mapping, at its own betas
+        rows = [0, 3, 7]
+        assert inp.take(rows).mapping is RESOLVED_MAPPING
+        expected = reconciled_pair_rate([params[k] for k in rows], betas[rows], 0.4)
+        assert reconciled_pair_rate(inp.take(rows), betas[rows], 0.4) == expected
+        with pytest.raises(ValueError, match="at another beta"):
+            reconciled_pair_rate(inp.take(rows), betas[:3], 0.4)
 
     @pytest.mark.parametrize(
         "engines, tables",
