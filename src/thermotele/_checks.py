@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .averaging import DEFAULT_GRID, QuadratureGrid
+from .averaging import QuadratureGrid
 from .classical_limit import CLASSICAL_GRID, _classical_optima
 from .closed_form import (
     CANDIDATE_MAPPINGS,
@@ -144,7 +144,7 @@ def check_oracle_closed_agreement(seed: int, cases: int = 200) -> CheckResult:
     """Criterion 1: q, f, g vs the quadrature oracle to 1e-8 under the
     resolved mapping, on random tuples with |j|,|h| <= 3, beta in (0,20]."""
     drawn = _random_cases(np.random.default_rng(seed), cases, 0.02)
-    oracles = _oracle_averages(drawn, DEFAULT_GRID)
+    oracles = _oracle_averages(drawn)
     worst = float(_case_errors(drawn, oracles, (RESOLVED_MAPPING,)).max())
     return CheckResult.within(
         "oracle_closed_form_agreement",
@@ -343,12 +343,8 @@ def check_figure_qualitative() -> CheckResult:
 def check_symmetries(seed: int, cases: int = 100) -> CheckResult:
     """Criterion 8: Q1 = Q4, Q2 = Q3, F1 = F4, F2 = F3, sum Q = 1, all to
     1e-10, on random thermal channels."""
-    averages = _oracle_averages(
-        _random_cases(np.random.default_rng(seed), cases, 0.02, 10.0), DEFAULT_GRID
-    )
-    qbar = np.array([av.qbar for av in averages])
-    fbar_cond = np.array([av.fbar_cond for av in averages])
-    defined = np.array([av.defined for av in averages])
+    averages = _oracle_averages(_random_cases(np.random.default_rng(seed), cases, 0.02, 10.0))
+    qbar, fbar_cond, defined = averages.qbar, averages.fbar_cond, averages.defined
     gaps = [
         np.abs(qbar[:, 0] - qbar[:, 3]),
         np.abs(qbar[:, 1] - qbar[:, 2]),

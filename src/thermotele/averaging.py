@@ -60,8 +60,8 @@ class QuadratureGrid:
     n_gamma: int = 64
 
     def __post_init__(self):
-        if self.n_alpha < 2 or self.n_gamma < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
+        if self.n_alpha < 8 or self.n_gamma < 8:
+            raise ValueError("the quadrature oracle requires at least 8 nodes per axis")
 
     def alpha_nodes(self):
         return _gauss_legendre_01(self.n_alpha)
@@ -81,10 +81,11 @@ class AveragedQuantities:
 
     ``fbar_cond[j, e]`` is indexed by outcome j (rows, j = 1..4) and
     correction-set label e in ``SET_ORDER`` columns; entries with
-    qbar below ``UNDEFINED_QBAR`` are NaN with ``defined`` False.
+    qbar below ``UNDEFINED_QBAR`` are NaN with ``defined`` False.  A
+    channel stack's averages carry the case axis first, ``phi`` included.
     """
 
-    phi: float
+    phi: float | np.ndarray
     qbar: np.ndarray
     fbar_cond: np.ndarray
     fbar_det: np.ndarray
@@ -110,8 +111,6 @@ def _oracle_maps(grid: QuadratureGrid):
     second moment E[psi_k psi*_m] and F_j Q_j in the fourth moment
     E[psi_k psi*_m psi*_x psi_y]; the node sum runs once, into those.
     """
-    if grid.n_alpha < 8 or grid.n_gamma < 8:
-        raise ValueError("the quadrature oracle requires at least 8 nodes per axis")
     a2, wa = grid.alpha_nodes()
     g, wg = grid.gamma_nodes()
     weights = np.outer(wa, wg).ravel()
@@ -138,8 +137,9 @@ def _oracle_maps(grid: QuadratureGrid):
     return q_map, joint_map
 
 
-def average_all(channel, phi: float, grid: QuadratureGrid = DEFAULT_GRID) -> AveragedQuantities:
-    """Quadrature averages of the full protocol at basis angle ``phi``.
+def average_all(channel, phi, grid: QuadratureGrid = DEFAULT_GRID) -> AveragedQuantities:
+    """Quadrature averages of the full protocol at basis angle ``phi``, or
+    of a channel stack (N, 4, 4) with one angle per channel (phi (N,)).
 
     Conditional fidelities are computed strictly as the ratio of the two
     integrals E[F_j Q_j] / E[Q_j], never as a pointwise average of F_j.
@@ -165,8 +165,8 @@ class HarmonicAverages:
     optimizers work on the tables directly.
 
     A stack of N channels (N, 4, 4) gives tables (N, 3, 4) and
-    (N, 3, 4, 4), each channel's with the bits it has alone; the
-    evaluation methods below take one channel.
+    (N, 3, 4, 4), and the evaluation methods then take one angle per
+    channel, phi (N,); each channel keeps the bits it has alone.
     """
 
     def __init__(self, channel, grid: QuadratureGrid = DEFAULT_GRID):
@@ -188,28 +188,26 @@ class HarmonicAverages:
 
     def qbar(self, phi):
         """Success rates; shape phi.shape + (4,)."""
-        return self._harmonics(phi) @ self.q_coef
+        return (self._harmonics(phi)[..., None, :] @ self.q_coef)[..., 0, :]
 
     def joint(self, phi):
         """E[F_j Q_j] per outcome and set; shape phi.shape + (4, 4)."""
-        h = self._harmonics(phi)
-        return np.einsum("...h,hje->...je", h, self.joint_coef)
+        return np.einsum("...h,...hje->...je", self._harmonics(phi), self.joint_coef)
 
     def pair_probability(self, phi, pair=(1, 4)):
         q = self.qbar(phi)
         return q[..., pair[0] - 1] + q[..., pair[1] - 1]
 
-    def at(self, phi: float) -> AveragedQuantities:
-        """All averages at one angle, as :func:`average_all` returns them."""
-        qbar = self.qbar(float(phi))
-        joint = self.joint(float(phi))
+    def at(self, phi) -> AveragedQuantities:
+        """All averages at one angle per channel, as :func:`average_all` returns them."""
+        qbar, joint = self.qbar(phi), self.joint(phi)
         defined = qbar >= UNDEFINED_QBAR
         with np.errstate(divide="ignore", invalid="ignore"):
-            fbar_cond = np.where(defined[:, None], joint / qbar[:, None], np.nan)
+            fbar_cond = np.where(defined[..., None], joint / qbar[..., None], np.nan)
         return AveragedQuantities(
-            phi=float(phi),
+            phi=np.asarray(phi, dtype=float) if np.ndim(phi) else float(phi),
             qbar=qbar,
             fbar_cond=fbar_cond,
-            fbar_det=joint.sum(axis=0),
+            fbar_det=joint.sum(axis=-2),
             defined=defined,
         )

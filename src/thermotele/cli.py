@@ -5,8 +5,8 @@ critical points.
 FILE`` with ``key = value`` lines (keys named like the long flags);
 explicit flags, each given once, win over the file.  A value a subcommand
 needs may come from either, so it is checked only once the file has been
-read.  Every error, argparse's own included, is one ``thermotele: error:``
-line with exit status 2.
+read.  Every error, argparse's own and an output path that cannot be
+written included, is one ``thermotele: error:`` line with exit status 2.
 """
 
 from __future__ import annotations
@@ -299,6 +299,8 @@ def main(argv=None) -> int:
         return handler(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        parser.error(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _version
 from ._optimize import Branch, labeled, maximize_ratios, select
-from .averaging import DEFAULT_GRID, QuadratureGrid, average_all
+from .averaging import average_all
 from .spin_models import DerivedParams, HeisenbergParams, elementwise, thermal_state
 
 # beta times a gap parameter below which sinh(beta x)/x switches to its
@@ -341,7 +341,7 @@ def _case_errors(cases, oracles, mappings) -> np.ndarray:
     as an array with one row per case and one column per mapping.
 
     ``cases`` are (params, beta, phi) tuples and ``oracles`` their
-    ``average_all`` results.  The mappings differ only by the sign of jz
+    stacked ``average_all``.  The mappings differ only by the sign of jz
     and by which printed branch describes which physical family, so all
     cases are scored in one pass: per jz sign one ``q_rate`` call on
     (phi, pi/2 - phi), and per printed branch one ``f_branch`` call on
@@ -354,9 +354,7 @@ def _case_errors(cases, oracles, mappings) -> np.ndarray:
     params = [p for p, _, _ in cases]
     beta = np.array([b for _, b, _ in cases], dtype=float)[:, None]
     phi = np.array([a for _, _, a in cases], dtype=float)[:, None]
-    qbar = np.array([o.qbar for o in oracles])
-    fbar_det = np.array([o.fbar_det for o in oracles])
-    fbar_cond = np.array([o.fbar_cond for o in oracles])
+    qbar, fbar_det, fbar_cond = oracles.qbar, oracles.fbar_det, oracles.fbar_cond
     det_angles = np.hstack([phi, -phi])
     # conditional averages are compared only where the outcome probability
     # is large enough for double precision to resolve them to the
@@ -409,10 +407,11 @@ def _random_cases(rng, count: int, beta_low: float, beta_high: float = 20.0) -> 
     ]
 
 
-def _oracle_averages(cases, grid: QuadratureGrid) -> list:
-    """The quadrature oracle's ``average_all`` of every (params, beta, phi)
-    case."""
-    return [average_all(thermal_state(p, 1.0 / beta).rho, phi, grid) for p, beta, phi in cases]
+def _oracle_averages(cases):
+    """The quadrature oracle's averages of every (params, beta, phi) case,
+    as one ``average_all`` of the stacked thermal states."""
+    rho = np.array([thermal_state(p, 1.0 / beta).rho.mat for p, beta, _ in cases])
+    return average_all(rho, np.array([phi for _, _, phi in cases]))
 
 
 def reconcile_conventions(case_count: int = 200, seed: int = 20260810) -> ReconciliationReport:
@@ -425,14 +424,14 @@ def reconcile_conventions(case_count: int = 200, seed: int = 20260810) -> Reconc
     whose worst error stays below ``RESOLUTION_TOL``.  If none or several
     survive, the report comes back unresolved.
 
-    The oracle runs once per case; ``_case_errors`` then scores all cases
-    under all four candidates in one pass.
+    The oracle averages all cases in one stacked pass; ``_case_errors``
+    then scores them under all four candidates in one pass.
     """
     if case_count < 100:
         raise ValueError("reconciliation needs at least 100 cases")
     rng = np.random.default_rng(seed)
     cases = [_SINGLET_CASE, _XXX_FIELD_CASE, *_random_cases(rng, case_count - 2, 0.05)]
-    oracles = _oracle_averages(cases, DEFAULT_GRID)
+    oracles = _oracle_averages(cases)
     table = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
     errors = {m.name: float(table[:, k].max()) for k, m in enumerate(CANDIDATE_MAPPINGS)}
 
@@ -444,7 +443,7 @@ def reconcile_conventions(case_count: int = 200, seed: int = 20260810) -> Reconc
         "jx": p.jx, "jy": p.jy, "jz": p.jz, "ha": p.ha, "hb": p.hb,
         "beta": beta,
         "phi": phi,
-        "oracle_det_psi_minus": float(oracles[0].fbar_det[3]),
+        "oracle_det_psi_minus": float(oracles.fbar_det[0, 3]),
         # psi- is the psi family at angle -phi
         "predicted_det_psi_minus": {
             m.name: float(f_branch(m.inputs(p, beta), m.formula_branch(Branch.PSI), -phi))

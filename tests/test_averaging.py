@@ -36,6 +36,11 @@ class TestQuadratureGrid:
         with pytest.raises(ValueError):
             average_all(DensityMatrix.maximally_mixed(4), 0.5, QuadratureGrid(4, 4))
 
+    @pytest.mark.parametrize("nodes", [(4, 4), (7, 64), (64, 7)])
+    def test_too_small_grid_rejected_at_construction(self, nodes):
+        with pytest.raises(ValueError, match="at least 8 nodes"):
+            QuadratureGrid(*nodes)
+
 
 class TestAverageAll:
     def test_maximally_mixed_channel(self):
@@ -204,6 +209,29 @@ class TestHarmonicAverages:
                 alone = HarmonicAverages(channel, grid)
                 assert np.array_equal(stacked.q_coef[k], alone.q_coef)
                 assert np.array_equal(stacked.joint_coef[k], alone.joint_coef)
+
+    def test_stacked_average_all_equals_one_at_a_time(self):
+        # thermal and separable channels at random angles, plus product
+        # channels at phi = 0 and pi/2, where two outcomes are unreachable
+        # and their conditional fidelities NaN
+        rng = np.random.default_rng(12)
+        channels = [random_thermal(rng).mat for _ in range(60)]
+        channels += [random_separable_channel(rng).density().mat for _ in range(60)]
+        phis = list(rng.uniform(0, math.pi, len(channels)))
+        for ket in np.eye(4, dtype=complex):
+            channels += [DensityMatrix.from_pure(ket).mat] * 2
+            phis += [0.0, math.pi / 2]
+        phis = np.array(phis)
+        for grid in (QuadratureGrid(), QuadratureGrid(8, 8)):
+            stacked = average_all(np.array(channels), phis, grid)
+            assert stacked.qbar.shape == (128, 4) and stacked.fbar_cond.shape == (128, 4, 4)
+            assert np.array_equal(stacked.phi, phis)
+            assert np.isnan(stacked.fbar_cond).any()
+            for k, channel in enumerate(channels):
+                alone = average_all(channel, phis[k], grid)
+                for name in ("qbar", "fbar_det", "fbar_cond", "defined"):
+                    row, want = getattr(stacked, name)[k], getattr(alone, name)
+                    assert row.shape == want.shape and row.tobytes() == want.tobytes()
 
     def test_vectorized_over_phi(self):
         rng = np.random.default_rng(7)

@@ -218,6 +218,29 @@ def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--model", "xx", "--lambda", "0.7", "--kt", "1", "--out", "{tmp}/no/x.csv"],
+        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+         "--from", "0.1", "--to", "1", "--steps", "2", "--out", "{tmp}/no/x.csv"],
+        ["validate", "--cases", "1", "--out", "{tmp}/no/x.json"],
+        # a figure directory where a regular file stands
+        ["figure", "fig2", "--steps", "2", "--out", "{tmp}/file"],
+    ],
+    ids=["point", "sweep", "validate", "figure"],
+)
+def test_unwritable_output_is_a_one_line_error(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"thermotele: error: cannot write {argv[-1]}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_exponents_are_silent(capsys):
     # beta times the energy gap overflows to inf; exp(-inf) = 0 is the

@@ -18,6 +18,7 @@ from thermotele.closed_form import (
     ClosedFormInputs,
     ConventionMapping,
     _case_errors,
+    _oracle_averages,
     f_branch,
     g_branch,
     q_rate,
@@ -316,19 +317,19 @@ class TestReconciliation:
     def test_no_field_cases_do_not_discriminate(self):
         # all four candidates coincide when jz-odd and branch-asymmetric
         # content is absent from the comparison set
-        oracle = average_all(thermal_state(XXX_NO_FIELD, 10.0).rho, 0.6)
+        cases = [(XXX_NO_FIELD, 0.1, 0.6)]
         errs = dict(zip(
             (m.name for m in CANDIDATE_MAPPINGS),
-            _case_errors([(XXX_NO_FIELD, 0.1, 0.6)], [oracle], CANDIDATE_MAPPINGS)[0],
+            _case_errors(cases, _oracle_averages(cases), CANDIDATE_MAPPINGS)[0],
         ))
         # identity fails even here (branch labels differ), but flip-only
         # and flip+swap agree with their swap counterparts at jz ~ 0 cases
-        p_no_jz = HeisenbergParams(1.0, -0.5, 0.0, 0.0, 0.0)
-        oracle2 = average_all(thermal_state(p_no_jz, 0.5).rho, 0.6)
+        cases = [(HeisenbergParams(1.0, -0.5, 0.0, 0.0, 0.0), 2.0, 0.6)]
+        oracles = _oracle_averages(cases)
         for m in CANDIDATE_MAPPINGS:
             if not m.swap_branches:
                 continue
-            assert _case_errors([(p_no_jz, 2.0, 0.6)], [oracle2], (m,))[0, 0] < 1e-10
+            assert _case_errors(cases, oracles, (m,))[0, 0] < 1e-10
 
     def test_report_json_roundtrip(self):
         report = reconcile_conventions(case_count=100, seed=7)
@@ -435,7 +436,7 @@ class TestCaseErrors:
         # and those conditional averages are left out
         rng = np.random.default_rng(20260811)
         grid = QuadratureGrid(8, 8)
-        cases, oracles = [], []
+        cases, alone, stack = [], [], []
         for k in range(240):
             vals = rng.uniform(-3.0, 3.0, 5)
             beta = float(rng.uniform(0.05, 20.0))
@@ -446,23 +447,27 @@ class TestCaseErrors:
                 beta = float(rng.uniform(5.0, 20.0))
                 phi = (0.0, math.pi / 2.0, phi)[k % 3]
             p = HeisenbergParams(*vals)
+            rho = thermal_state(p, 1.0 / beta).rho
             cases.append((p, beta, phi))
-            oracles.append(average_all(thermal_state(p, 1.0 / beta).rho, phi, grid))
-        # all cases in one batch, against one reference call per case
+            alone.append(average_all(rho, phi, grid))
+            stack.append(rho.mat)
+        # all cases in one batch of stacked averages, against one reference
+        # call per case on that case's own averages
+        oracles = average_all(np.array(stack), np.array([phi for _, _, phi in cases]), grid)
         errors = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)
         assert errors.shape == (240, 4)
-        for (p, beta, phi), oracle, row in zip(cases, oracles, errors):
+        for (p, beta, phi), oracle, row in zip(cases, alone, errors):
             for m, err in zip(CANDIDATE_MAPPINGS, row):
                 assert err == reference_case_errors(p, beta, phi, oracle, m)
-        skipping = sum(bool(np.any(o.qbar < 0.5 * MIN_PAIR_PROBABILITY)) for o in oracles)
+        skipping = sum(bool(np.any(o.qbar < 0.5 * MIN_PAIR_PROBABILITY)) for o in alone)
         assert skipping >= 25
 
     def test_mapping_subsets(self):
-        p = HeisenbergParams(1.0, -0.5, 0.3, 0.8, -0.2)
-        oracle = average_all(thermal_state(p, 0.7).rho, 1.1)
-        every = _case_errors([(p, 1 / 0.7, 1.1)], [oracle], CANDIDATE_MAPPINGS)[0]
+        cases = [(HeisenbergParams(1.0, -0.5, 0.3, 0.8, -0.2), 1 / 0.7, 1.1)]
+        oracles = _oracle_averages(cases)
+        every = _case_errors(cases, oracles, CANDIDATE_MAPPINGS)[0]
         for m, err in zip(CANDIDATE_MAPPINGS, every):
-            assert _case_errors([(p, 1 / 0.7, 1.1)], [oracle], (m,)).tolist() == [[err]]
+            assert _case_errors(cases, oracles, (m,)).tolist() == [[err]]
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +528,7 @@ def test_extended_domain_states_rates_and_fidelities(case):
 @example((HeisenbergParams(1.0, -1.0 + 1e-12, 50.0, 25.0, 25.0), 1e12, 0.5))
 @example((HeisenbergParams(0.5, 0.25, 0.7, 975.0, 0.25), 1.0, 0.0))
 def test_extended_domain_closed_matches_oracle(case):
-    p, beta, phi = case
-    oracle = average_all(thermal_state(p, 1.0 / beta).rho, phi)
-    assert _case_errors([case], [oracle], (RESOLVED_MAPPING,))[0, 0] <= 1e-10
+    assert _case_errors([case], _oracle_averages([case]), (RESOLVED_MAPPING,))[0, 0] <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Plumbing tests for the validate entry point and check machinery."""
 
 import numpy as np
+import pytest
 
 import thermotele._checks as checks
+import thermotele.averaging as averaging
 import thermotele.closed_form as closed_form
 import thermotele.sweeps as sweeps
 from thermotele.sweeps import validate
@@ -20,6 +22,35 @@ def test_injected_fault_detected(monkeypatch):
     result = checks.check_oracle_closed_agreement(seed=1, cases=20)
     assert not result.passed
     assert abs(result.max_error - 1e-3) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: closed_form.reconcile_conventions(150),
+        lambda: checks.check_oracle_closed_agreement(seed=5, cases=200),
+        lambda: checks.check_symmetries(seed=5, cases=100),
+    ],
+    ids=["reconciliation", "criterion_1", "criterion_8"],
+)
+def test_case_lists_take_one_oracle_pass(monkeypatch, run):
+    # every case of a list goes through one stacked average_all and one
+    # HarmonicAverages construction
+    calls = {"average_all": 0, "HarmonicAverages": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(closed_form, "average_all")
+    counted(averaging, "HarmonicAverages")
+    run()
+    assert calls == {"average_all": 1, "HarmonicAverages": 1}
 
 
 def test_checks_are_seed_stable():
