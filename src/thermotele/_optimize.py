@@ -12,9 +12,13 @@ so both engines optimize by evaluating that list instead of searching.
 
 The oracle's twelve problems per point (four with D = 1) go to the scalar
 :func:`maximize_ratio`, as a column-wise call pays only from ~35 columns
-on; the closed engine's batches go to :func:`maximize_ratios` (its
-deterministic optima sit at +/- pi/4), and the classical bound's channel
-stacks to :func:`maximize_form`, each column with its scalar bits.
+on; the closed engine's batches and the classical bound's channel stacks
+(D = 1) go to :func:`maximize_ratios`, each column with its scalar bits.
+
+A column-wise call holds a candidate only where some column can use it.
+A constant D (u = v, s = 0) uses only phi = 0 and the stationary points of
+N/D: its maximum is phi = 0 again, D = floor has no root, and as every
+candidate ties on D, the maximum itself beats both tie-window edges.
 
 The choice between candidates (correction sets or branch families, and
 postselected outcome pairs) lives here too, so both engines share one
@@ -132,10 +136,9 @@ def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
     s), and ``floor`` broadcasts against the columns.  Returns the maxima,
     their angles in [0, pi) and D there, each of the columns' shape, with
     the bits each column gets from :func:`maximize_ratio` alone: the same
-    candidates in the same order, as eight slots with validity masks, and
-    every expression in the scalar operation order.  atan2 comes from libm
-    entry by entry, as in :func:`maximize_form`, where a slot holds an
-    angle.
+    candidates in the same order, as slots with validity masks, and every
+    expression in the scalar operation order (atan2 from libm entry by
+    entry, as ``np.arctan2`` rounds differently).
 
     Raises ``ValueError`` naming the first column where no angle has D
     above the floor.
@@ -146,12 +149,18 @@ def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
     num, den = num.reshape(3, -1), den.reshape(3, -1)
     (nu, nv, ns), (du, dv, ds) = num, den
     floor = np.broadcast_to(floor, shape).ravel()
+    bounded = floor != -math.inf
     columns = np.arange(nu.size)
     constant = (du == dv) & (ds == 0.0)
-    # slots: phi = 0, argmax D and the two roots of (N/D)' = 0, all masked
-    # below the floor; the two mask edges D = floor, never masked and
-    # absent for an infinite floor; the two tie-window edges, masked
-    slots = (8, nu.size)
+    # slots: phi = 0, argmax D, the roots of (N/D)' = 0 (from stationary),
+    # all masked below the floor; the mask edges D = floor (from edge), never
+    # masked; the tie-window edges (from ties), masked.  argmax D and the
+    # window edges need a varying D, the mask edges a finite floor as well
+    edges = bool((bounded & ~constant).any())
+    varying = edges or not constant.all()
+    stationary, edge = 1 + varying, 3 + varying
+    ties = edge + 2 * edges
+    slots = (ties + 2 * varying, nu.size)
     phi, d, value = np.zeros(slots), np.empty(slots), np.empty(slots)
     valid = np.ones(slots, dtype=bool)
 
@@ -192,21 +201,22 @@ def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
         value[k] /= d[k]
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        angle(1, ds, du - dv)
-        phi[1] *= 0.5
+        if varying:
+            angle(1, ds, du - dv)
+            phi[1] *= 0.5
         # the stationary and the mask-edge quadratic; the mask edge's q is
         # ds itself, since ds + 0 * floor would turn a -0.0 into +0.0 and
         # flip copysign
         roots(
-            2,
-            np.array([0.5 * (ns * du - ds * nu), du - floor]),
-            np.array([nv * du - nu * dv, ds]),
-            np.array([0.5 * (ds * nv - ns * dv), dv - floor]),
+            stationary,
+            np.array([0.5 * (ns * du - ds * nu), du - floor][: 1 + edges]),
+            np.array([nv * du - nu * dv, ds][: 1 + edges]),
+            np.array([0.5 * (ds * nv - ns * dv), dv - floor][: 1 + edges]),
         )
-        evaluate(slice(0, 6))
-        valid[:4] &= ~(d[:4] < floor)
-        valid[4:6] &= floor != -math.inf
-        reached = valid[:6].any(axis=0)
+        evaluate(slice(0, ties))
+        valid[:edge] &= ~(d[:edge] < floor)
+        valid[edge:ties] &= bounded
+        reached = valid[:ties].any(axis=0)
         if not reached.all():
             bad = np.unravel_index((~reached).argmax(), shape)
             raise ValueError(
@@ -214,11 +224,12 @@ def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
                 "no angle has D above the floor"
             )
         # the largest value, the first of equal ones, as max() picks it
-        top = np.where(valid[:6], value[:6], -math.inf)
-        cut = value[(valid[:6] & (top == top.max(axis=0))).argmax(axis=0), columns] - tie_tol
-        roots(6, (nu - cut * du)[None], (ns - cut * ds)[None], (nv - cut * dv)[None])
-        evaluate(slice(6, 8))
-        valid[6:] &= ~(d[6:] < floor)
+        top = np.where(valid[:ties], value[:ties], -math.inf)
+        cut = value[(valid[:ties] & (top == top.max(axis=0))).argmax(axis=0), columns] - tie_tol
+        if varying:
+            roots(ties, (nu - cut * du)[None], (ns - cut * ds)[None], (nv - cut * dv)[None])
+            evaluate(slice(ties, None))
+            valid[ties:] &= ~(d[ties:] < floor)
         # the first candidate with the largest D inside the tie window
         window = valid & (value >= cut)
         wide = np.where(window, d, -math.inf)
@@ -226,38 +237,6 @@ def maximize_ratios(num, den, floor=-math.inf, tie_tol=0.0):
     value, phi, d = value[best, columns], np.mod(phi[best, columns], math.pi), d[best, columns]
     phi[phi == math.pi] = 0.0
     return value.reshape(shape), phi.reshape(shape), d.reshape(shape)
-
-
-def maximize_form(num):
-    """Maximize N(phi) = u cos**2 + v sin**2 + s sin cos, column by column.
-
-    ``num`` is an array (3, ...) whose first axis holds (u, v, s), so a
-    (3, k) table optimizes k forms at once.  Returns the maxima and their
-    angles in [0, pi), each of shape ``num.shape[1:]``.
-
-    The candidates are phi = 0 and the stationary points, the roots of
-    N' = 0, which :func:`maximize_ratio` would check for D = 1; the first
-    maximum wins.  ``np.sin``, ``np.cos`` and ``np.sqrt`` round like libm,
-    ``np.arctan2`` does not, so atan2 comes from libm entry by entry and a
-    column gets the bits it would get alone.
-    """
-    nu, nv, ns = np.asarray(num, dtype=float)
-    # the roots of N' = 0, p cos**2 + q sin cos + r sin**2 = 0, as _roots
-    # finds them; r = -p, so the discriminant is never negative
-    p, q, r = 0.5 * ns, nv - nu, -0.5 * ns
-    h = -0.5 * (q + np.copysign(np.sqrt(q * q - 4.0 * p * r), q))
-    # h = 0 leaves one root, on an axis (for constant N, at phi = 0)
-    on_axis = h == 0.0
-    first = np.where(on_axis, (p != 0.0) * (0.5 * math.pi), _atan2(h, r))
-    # phi = 0, then the roots in turn: the first maximum wins
-    best, phi = nu, 0.0
-    for valid, angle in ((True, first), (~on_axis, _atan2(p, h))):
-        c, s = np.cos(angle), np.sin(angle)
-        value = nu * c * c + nv * s * s + ns * s * c
-        better = valid & (value > best)
-        best, phi = np.where(better, value, best), np.where(better, angle, phi)
-    phi = np.mod(phi, math.pi)
-    return best, np.where(phi == math.pi, 0.0, phi)
 
 
 class Branch(Enum):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import maximize_form, select
+from ._optimize import maximize_ratios, select
 from .averaging import HarmonicAverages, QuadratureGrid
 from .densmat import DensityMatrix
 from .spin_models import IDENTITY2, PAULI_X, PAULI_Y, PAULI_Z
@@ -172,8 +172,10 @@ def oracle_det_optimum(channel, grid: QuadratureGrid):
     ``channel`` is one channel, which gives a float, or a stack (N, 4, 4),
     which gives an array (N,) of the optima each channel has alone.
     """
-    det = HarmonicAverages(channel, grid).joint_coef.sum(axis=-2)
-    values, _ = maximize_form(np.moveaxis(det, -2, 0))  # (..., set)
+    det = np.moveaxis(HarmonicAverages(channel, grid).joint_coef.sum(axis=-2), -2, 0)
+    # D = 1, the triple (1, 1, 0), for every set, as a view
+    unit = np.broadcast_to(np.reshape([1.0, 1.0, 0.0], (3,) + (1,) * (det.ndim - 1)), det.shape)
+    values, _, _ = maximize_ratios(det, unit)  # (..., set)
     sets = [values[..., e] for e in range(4)]
     best = np.choose(select(sets), sets)
     return best if best.ndim else float(best)

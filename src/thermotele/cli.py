@@ -6,13 +6,16 @@ FILE`` with ``key = value`` lines (keys named like the long flags);
 explicit flags, each given once, win over the file.  A value a subcommand
 needs may come from either, so it is checked only once the file has been
 read.  Every error, argparse's own and an output path that cannot be
-written included, is one ``thermotele: error:`` line with exit status 2.
+written included, is one ``thermotele: error:`` line with exit status 2,
+and an unwritable ``--out`` fails before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -189,6 +192,19 @@ def _check_model_flags(args, actions) -> None:
     )
 
 
+def _check_output(path: Path) -> None:
+    """Raise, before any work, the ``OSError`` that writing the file
+    ``path`` would end with for want of a writable directory.  (A figure
+    makes its directory before it computes anything.)"""
+    for ok, code in (
+        (path.parent.exists(), errno.ENOENT),
+        (path.parent.is_dir(), errno.ENOTDIR),
+        (os.access(path.parent, os.W_OK), errno.EACCES),
+    ):
+        if not ok:
+            raise OSError(code, os.strerror(code), str(path))
+
+
 def _fixed_from_args(args) -> dict:
     dests = [dest for _, dest in _PARAM_FLAGS] + ["kt"]
     return {dest: getattr(args, dest) for dest in dests if getattr(args, dest) is not None}
@@ -296,6 +312,8 @@ def main(argv=None) -> int:
             _check_model_flags(args, actions)
         if args.command == "critical":
             _check_critical_flags(args, actions)
+        if args.command != "figure" and getattr(args, "out", None) is not None:
+            _check_output(args.out)
         return handler(args)
     except ValueError as exc:
         parser.error(str(exc))

@@ -39,7 +39,8 @@ tests can compare the library's states with it byte for byte.
 
 The oracle section holds ``thermotele.sweeps._oracle_point`` as it was
 when it solved the four deterministic problems of a point as four columns
-of ``maximize_form``, kept verbatim as ``oracle_point_by_form``, and
+of ``maximize_form`` (now ``scalar_reference.maximize_form``), kept
+verbatim as ``oracle_point_by_form`` but for that import, and
 ``thermotele.teleport.bell_basis`` as it was when it wrote each ket
 literally, kept verbatim as ``bell_basis_by_literals``.  The tests compare
 the library's oracle records and Bell kets with them byte for byte.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scalar_reference
 
-from thermotele._optimize import labeled, maximize_form, maximize_ratio, select
+from thermotele._optimize import labeled, maximize_ratio, select
 from thermotele.averaging import (
     _BELL_COS,
     _BELL_SIN,
@@ -488,7 +489,7 @@ def oracle_point_by_form(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     """
     harmonics = HarmonicAverages(thermal_state(p, kt).rho, grid)
     # the sets' deterministic optima, one column per set
-    det_values, det_phis = maximize_form(harmonics.joint_coef.sum(axis=1))
+    det_values, det_phis = scalar_reference.maximize_form(harmonics.joint_coef.sum(axis=1))
     det_values, det_phis = det_values.tolist(), det_phis.tolist()
     k = select(det_values)
     # both pairs' (u, v, s) tables at once: column 0 is outcomes 1 + 4,

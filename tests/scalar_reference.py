@@ -8,6 +8,10 @@ here and that the choice between the two branch optima follows the shared
 candidate rule (``_optimize.select``: a later branch must be better by more
 than ``CANDIDATE_TIE_TOL`` on the efficiency scale).  Tests assert that the
 array code reproduces it bit for bit.
+
+``maximize_form`` is the column-wise optimizer of D = 1 forms that
+``_optimize`` carried for channel stacks before ``maximize_ratios`` took
+them over, moved here unchanged (with its libm ``_atan2``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from thermotele.closed_form import (
     SUCCESS_TIE_TOL,
     Branch,
 )
-from thermotele.spin_models import HeisenbergParams
+from thermotele.spin_models import HeisenbergParams, elementwise
 
 # ---------------------------------------------------------------------------
 # the angle optimizer
@@ -95,6 +99,41 @@ def maximize_ratio(num, den=None, floor=-math.inf, tie_tol=0.0) -> AngleOptimum:
     value, phi, d = max(window, key=lambda c: c[2])
     phi %= math.pi
     return AngleOptimum(value, 0.0 if phi == math.pi else phi, d)
+
+
+_atan2 = elementwise(math.atan2, 2)
+
+
+def maximize_form(num):
+    """Maximize N(phi) = u cos**2 + v sin**2 + s sin cos, column by column.
+
+    ``num`` is an array (3, ...) whose first axis holds (u, v, s), so a
+    (3, k) table optimizes k forms at once.  Returns the maxima and their
+    angles in [0, pi), each of shape ``num.shape[1:]``.
+
+    The candidates are phi = 0 and the stationary points, the roots of
+    N' = 0, which :func:`maximize_ratio` would check for D = 1; the first
+    maximum wins.  ``np.sin``, ``np.cos`` and ``np.sqrt`` round like libm,
+    ``np.arctan2`` does not, so atan2 comes from libm entry by entry and a
+    column gets the bits it would get alone.
+    """
+    nu, nv, ns = np.asarray(num, dtype=float)
+    # the roots of N' = 0, p cos**2 + q sin cos + r sin**2 = 0, as _roots
+    # finds them; r = -p, so the discriminant is never negative
+    p, q, r = 0.5 * ns, nv - nu, -0.5 * ns
+    h = -0.5 * (q + np.copysign(np.sqrt(q * q - 4.0 * p * r), q))
+    # h = 0 leaves one root, on an axis (for constant N, at phi = 0)
+    on_axis = h == 0.0
+    first = np.where(on_axis, (p != 0.0) * (0.5 * math.pi), _atan2(h, r))
+    # phi = 0, then the roots in turn: the first maximum wins
+    best, phi = nu, 0.0
+    for valid, angle in ((True, first), (~on_axis, _atan2(p, h))):
+        c, s = np.cos(angle), np.sin(angle)
+        value = nu * c * c + nv * s * s + ns * s * c
+        better = valid & (value > best)
+        best, phi = np.where(better, value, best), np.where(better, angle, phi)
+    phi = np.mod(phi, math.pi)
+    return best, np.where(phi == math.pi, 0.0, phi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from thermotele import cli
+from thermotele import _checks, cli, sweeps
 
 
 def test_point_json(capsys):
@@ -219,24 +219,33 @@ def test_bad_physical_input_is_a_one_line_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, work",
     [
-        ["point", "--model", "xx", "--lambda", "0.7", "--kt", "1", "--out", "{tmp}/no/x.csv"],
-        ["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
-         "--from", "0.1", "--to", "1", "--steps", "2", "--out", "{tmp}/no/x.csv"],
-        ["validate", "--cases", "1", "--out", "{tmp}/no/x.json"],
-        # a figure directory where a regular file stands
-        ["figure", "fig2", "--steps", "2", "--out", "{tmp}/file"],
+        (["point", "--model", "xx", "--lambda", "0.7", "--kt", "1", "--out", "{tmp}/no/x.csv"],
+         (cli, "evaluate_point")),
+        (["sweep", "--model", "xx", "--lambda", "0.7", "--var", "kt",
+          "--from", "0.1", "--to", "1", "--steps", "2", "--out", "{tmp}/no/x.csv"],
+         (cli, "run_sweep")),
+        (["validate", "--cases", "1", "--out", "{tmp}/no/x.json"], (_checks, "run_all")),
+        # a figure directory where a regular file stands, or below one
+        (["figure", "fig2", "--steps", "2", "--out", "{tmp}/file"], (sweeps, "run_sweeps")),
+        (["figure", "fig2", "--steps", "2", "--out", "{tmp}/file/figs"], (sweeps, "run_sweeps")),
     ],
-    ids=["point", "sweep", "validate", "figure"],
+    ids=["point", "sweep", "validate", "figure", "figure-below-a-file"],
 )
-def test_unwritable_output_is_a_one_line_error(argv, tmp_path, capsys):
+def test_unwritable_output_is_a_one_line_error(argv, work, tmp_path, capsys, monkeypatch):
+    # the directory is checked before any work starts
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(*work, never)
     (tmp_path / "file").write_text("")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"thermotele: error: cannot write {argv[-1]}: ")
     assert err.count("\n") == 1
 

@@ -315,21 +315,25 @@ class TestReconciliation:
         )
 
     def test_no_field_cases_do_not_discriminate(self):
-        # all four candidates coincide when jz-odd and branch-asymmetric
-        # content is absent from the comparison set
+        # a zero field alone does not hide the mapping: with jz = 2 the
+        # no-field xxx case fits only the resolved one (the others miss by
+        # 0.085, 0.151 and 0.089)
         cases = [(XXX_NO_FIELD, 0.1, 0.6)]
         errs = dict(zip(
             (m.name for m in CANDIDATE_MAPPINGS),
             _case_errors(cases, _oracle_averages(cases), CANDIDATE_MAPPINGS)[0],
         ))
-        # identity fails even here (branch labels differ), but flip-only
-        # and flip+swap agree with their swap counterparts at jz ~ 0 cases
+        assert errs.pop(RESOLVED_MAPPING.name) < 1e-10
+        assert min(errs.values()) > 0.05
+        # with jz = 0 as well, flip_jz has nothing to flip: each mapping
+        # scores exactly as its flip_jz twin, and only the branch swap
+        # tells them apart (identity fails on the branch labels)
         cases = [(HeisenbergParams(1.0, -0.5, 0.0, 0.0, 0.0), 2.0, 0.6)]
-        oracles = _oracle_averages(cases)
-        for m in CANDIDATE_MAPPINGS:
-            if not m.swap_branches:
-                continue
-            assert _case_errors(cases, oracles, (m,))[0, 0] < 1e-10
+        errs = _case_errors(cases, _oracle_averages(cases), CANDIDATE_MAPPINGS)[0]
+        for m, err in zip(CANDIDATE_MAPPINGS, errs):
+            twin = ConventionMapping(flip_jz=not m.flip_jz, swap_branches=m.swap_branches)
+            assert err == errs[CANDIDATE_MAPPINGS.index(twin)]
+            assert err < 1e-10 if m.swap_branches else err > 0.01
 
     def test_report_json_roundtrip(self):
         report = reconcile_conventions(case_count=100, seed=7)

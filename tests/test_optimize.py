@@ -19,7 +19,6 @@ from thermotele._optimize import (
     CANDIDATE_TIE_TOL,
     Branch,
     labeled,
-    maximize_form,
     maximize_ratio,
     maximize_ratios,
     select,
@@ -134,13 +133,25 @@ numerators = st.one_of(
 )
 
 
+def unit_forms(nums):
+    """(num, den) tables (3, k) of the forms ``nums`` over D = 1, the
+    triple (1, 1, 0)."""
+    num = np.array(nums, dtype=float).T
+    return num, np.broadcast_to([[1.0], [1.0], [0.0]], num.shape)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(numerators, min_size=1, max_size=12))
 def test_columns_equal_the_scalar_reference(nums):
-    # D = 1: each column of the column-wise optimizer against the earlier
+    # D = 1: each column of the column-wise optimizer against the
+    # column-wise optimizer of D = 1 forms it replaced, the earlier
     # optimizer's den=None path and the scalar optimizer's D = (1, 1, 0),
-    # value and angle, bit for bit
-    values, phis = maximize_form(np.array(nums).T)
+    # value and angle, equal as numbers (the form optimizer returns a
+    # u = -0.0 at phi = 0 as it is, the ratio paths as +0.0)
+    values, phis, dens = maximize_ratios(*unit_forms(nums))
+    form_values, form_phis = ref.maximize_form(np.array(nums).T)
+    assert np.array_equal(values, form_values) and np.array_equal(phis, form_phis)
+    assert (dens == 1.0).all()
     for num, value, phi in zip(nums, values, phis):
         opt = ref.maximize_ratio(num)
         assert (value, phi) == (opt.value, opt.phi)
@@ -186,6 +197,47 @@ def test_ratio_columns_equal_the_scalar_optimizer(cases, infinite, tie_tol):
         assert np.array(got).tobytes() == np.array(opt).tobytes(), (opt, got)
 
 
+def mixed_columns(rng, count):
+    """``count`` problems (num, den, floor) of each of four kinds, in turn:
+    a varying D (some with u = v) with a finite or an infinite floor, then
+    a constant D (some D = 1, some with s = -0.0) with a finite or an
+    infinite floor.  Every fifth numerator is a plateau of N/D."""
+    columns = []
+    for k in range(4 * count):
+        if k % 4 < 2:
+            du, dv = rng.uniform(0.05, 2.0, 2)
+            dv = du if k % 3 == 0 else dv
+            den = (du, dv, rng.uniform(-1.0, 1.0) * 2.0 * math.sqrt(du * dv))
+        else:
+            c = 1.0 if k % 3 == 0 else rng.uniform(0.05, 2.0)
+            den = (c, c, -0.0 if k % 7 == 0 else 0.0)
+        if k % 5 == 0:
+            num = tuple(0.7 * d + eps for d, eps in zip(den, rng.uniform(-1e-13, 1e-13, 3)))
+        else:
+            num = tuple(rng.uniform(-2.0, 2.0, 3))
+        floor = rng.uniform(1e-3, 0.95) * den_max(den) if k % 2 == 0 else -math.inf
+        columns.append((num, den, floor))
+    return columns
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 3 * SUCCESS_TIE_TOL])
+@pytest.mark.parametrize(
+    "kinds",
+    [(0, 1, 2, 3), (2, 3), (1, 2, 3), (0, 1), (1, 3)],
+    ids=["all", "constant", "no-mask-edges", "varying", "infinite"],
+)
+def test_mixed_columns_equal_the_scalar_reference(kinds, tie_tol):
+    # one call mixes the column kinds the slot rule tells apart; whatever
+    # slots the call holds, every column gets the scalar reference's bits
+    columns = mixed_columns(np.random.default_rng(26), 30)
+    cases = [c for k, c in enumerate(columns) if k % 4 in kinds]
+    num, den, floor = (np.array(x, dtype=float) for x in zip(*cases))
+    values, phis, dens = maximize_ratios(num.T, den.T, floor, tie_tol)
+    for (n, d, f), got in zip(cases, zip(values, phis, dens)):
+        opt = ref.maximize_ratio(n, d, f, tie_tol)
+        assert np.array(got).tobytes() == np.array(opt).tobytes(), (n, d, f, opt, got)
+
+
 def test_ratio_columns_name_a_column_without_reachable_angles():
     # D = 1 everywhere, so a floor of 2 leaves no angle
     num = np.tile([[0.5], [0.2], [0.0]], (1, 3))
@@ -200,7 +252,7 @@ def test_ratio_columns_name_a_column_without_reachable_angles():
 @settings(max_examples=100, deadline=None)
 @given(unit, st.floats(0.1, 2.0), st.floats(0.0, math.pi))
 def test_deterministic_optimum_is_the_amplitude(top, depth, phi0):
-    value, phi = maximize_form(peaked(top, depth, phi0))
+    (value,), (phi,), _ = maximize_ratios(*unit_forms([peaked(top, depth, phi0)]))
     assert abs(value - top) <= 1e-14
     # the peak is sharp, so the angle comes back to rounding
     gap = abs(phi - phi0) % math.pi
