@@ -273,10 +273,10 @@ def select(values):
     """Index of the winning candidate.
 
     ``values`` are the candidates' efficiencies in canonical order: sets
-    in ``CorrectionLabel`` order, or branches PHI then PSI, with pair
-    (1, 4) before (2, 3).  Each is a float, or an array with one entry per
-    point, and the index comes back in the same form.  A later candidate
-    wins only when it beats the current best by more than
+    in ``CorrectionLabel`` order, or branches PHI then PSI, with pairs in
+    ``teleport.OUTCOME_PAIRS`` order.  Each is a float, or an array with
+    one entry per point, and the index comes back in the same form.  A
+    later candidate wins only when it beats the current best by more than
     ``CANDIDATE_TIE_TOL``.
     """
     best, top = 0, values[0]

@@ -34,7 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .densmat import channel_matrix
-from .teleport import BELL_COS, BELL_SIN, CORRECTION_KEYS, CorrectionLabel, _U_BY_KEY
+from .teleport import (
+    BELL_COS, BELL_SIN, CORRECTION_KEYS, OUTCOME_PAIRS, CorrectionLabel, _U_BY_KEY, pair_index,
+)
 
 SET_ORDER = tuple(CorrectionLabel)
 
@@ -194,9 +196,11 @@ class HarmonicAverages:
         """E[F_j Q_j] per outcome and set; shape phi.shape + (4, 4)."""
         return np.einsum("...h,...hje->...je", self._harmonics(phi), self.joint_coef)
 
-    def pair_probability(self, phi, pair=(1, 4)):
+    def pair_probability(self, phi, pair=OUTCOME_PAIRS[0]):
+        """Success rate of postselecting ``pair`` (either order)."""
+        first, second = OUTCOME_PAIRS[pair_index(pair)]
         q = self.qbar(phi)
-        return q[..., pair[0] - 1] + q[..., pair[1] - 1]
+        return q[..., first - 1] + q[..., second - 1]
 
     def at(self, phi) -> AveragedQuantities:
         """All averages at one angle per channel, as :func:`average_all` returns them."""

@@ -32,6 +32,7 @@ from . import _version
 from ._optimize import Branch, labeled, maximize_ratios, select
 from .averaging import average_all
 from .spin_models import DerivedParams, HeisenbergParams, elementwise, thermal_state
+from .teleport import OUTCOME_PAIRS, pair_index
 
 # beta times a gap parameter below which sinh(beta x)/x switches to its
 # Taylor expansion
@@ -238,6 +239,17 @@ def g_branch(inp: ClosedFormInputs, branch: Branch, phi):
 
 _BRANCHES = tuple(Branch)
 
+# the OUTCOME_PAIRS index of each outcome's pair, outcomes 1..4
+_PAIR_OF_OUTCOME = np.array(
+    [next(k for k, pair in enumerate(OUTCOME_PAIRS) if j in pair) for j in range(1, 5)]
+)
+
+
+def _pair_angle(pair, phi):
+    """Where the printed forms, pair (1, 4)'s, give pair ``pair`` (OUTCOME_PAIRS
+    indices) at ``phi``: pair (2, 3) at phi is pair (1, 4) at pi/2 - phi."""
+    return np.where(np.asarray(pair) == 1, math.pi / 2.0 - phi, phi)
+
 
 def _one_or_all(inp: ClosedFormInputs, results: list):
     """The result of a single point (float inputs) or the batch's list."""
@@ -359,22 +371,21 @@ def _case_errors(cases, oracles, mappings) -> np.ndarray:
     # conditional averages are compared only where the outcome probability
     # is large enough for double precision to resolve them to the
     # reconciliation tolerance; skipped outcomes are never evaluated.
-    # Entries run over (case, angle sign, outcome j); outcomes 1 and 4 sit
-    # at the family angle a, outcomes 2 and 3 at pi/2 - a
+    # Entries run over (case, angle sign, outcome j), each at its pair's
+    # angle for the family angle a
     kept = np.broadcast_to(
         (qbar >= 0.5 * MIN_PAIR_PROBABILITY)[:, None, :], (len(cases), 2, 4)
     )
     rows, sign, outcome = np.nonzero(kept)
     a = det_angles[rows, sign]
-    cond_angles = np.where((outcome == 0) | (outcome == 3), a, math.pi / 2.0 - a)
+    cond_angles = _pair_angle(_PAIR_OF_OUTCOME[outcome], a)
 
     q_err, det_pred, cond_pred = {}, {}, {}
     for flip in {m.flip_jz for m in mappings}:
         # the inputs of any mapping with this jz sign
         inp = next(m for m in mappings if m.flip_jz == flip).inputs(params, beta[:, 0])
         wide = inp.take((slice(None), None))
-        q14, q23 = q_rate(wide, np.hstack([phi, math.pi / 2.0 - phi])).T
-        q_pred = np.stack([q14, q23, q23, q14], axis=1)
+        q_pred = q_rate(wide, _pair_angle(range(len(OUTCOME_PAIRS)), phi))[:, _PAIR_OF_OUTCOME]
         q_err[flip] = np.max(np.abs(q_pred - qbar), axis=1)
         for branch in Branch:
             det_pred[flip, branch] = f_branch(wide, branch, det_angles)
@@ -479,19 +490,19 @@ def reconciled_pair_rate(
     p,
     beta,
     phi,
-    pair=(1, 4),
+    pair=OUTCOME_PAIRS[0],
     mapping: ConventionMapping = RESOLVED_MAPPING,
 ):
-    """Success rate of postselecting ``pair`` at basis angle ``phi``.
+    """Success rate of postselecting ``pair`` (either order) at basis
+    angle ``phi``; a pair outside ``OUTCOME_PAIRS`` is a ValueError.
 
     ``p`` is one HeisenbergParams (a float comes back) or a sequence of
     them with one beta, angle and pair each (a list comes back), or the
     ``mapping``'s inputs of either (``ConventionMapping.inputs``).
     """
     inp = mapping.inputs(p, beta)
-    phi = np.asarray(phi, dtype=float)
-    mirrored = np.any(np.asarray(pair) != (1, 4), axis=-1)
-    rate = 2.0 * q_rate(inp, np.where(mirrored, math.pi / 2.0 - phi, phi))
+    index = pair_index(pair) if np.ndim(pair) == 1 else [pair_index(q) for q in pair]
+    rate = 2.0 * q_rate(inp, _pair_angle(index, np.asarray(phi, dtype=float)))
     return _one_or_all(inp, np.ravel(rate).tolist())
 
 
@@ -560,4 +571,4 @@ def reconciled_prob_optimal(p, beta, mapping: ConventionMapping = RESOLVED_MAPPI
     value, phi, _ = maximize_ratios(
         table[:3], table[3:6], table[6], tie_tol=3.0 * SUCCESS_TIE_TOL
     )
-    return _best_branch(inp, (1, 4), list(1.0 / 3.0 + value / 3.0), list(phi))
+    return _best_branch(inp, OUTCOME_PAIRS[0], list(1.0 / 3.0 + value / 3.0), list(phi))

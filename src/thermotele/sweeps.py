@@ -41,7 +41,7 @@ from .spin_models import (
     require_temperature,
     thermal_state,
 )
-from .teleport import CorrectionLabel
+from .teleport import OUTCOME_PAIRS, CorrectionLabel
 
 CSV_SCHEMA_VERSION = 1
 CLASSICAL_LIMIT = 2.0 / 3.0
@@ -188,7 +188,6 @@ class SweepRecord:
 
 # the oracle's set columns as (family, angle sign), in CorrectionLabel order
 _SET_FAMILIES = tuple(SET_FAMILY[label] for label in CorrectionLabel)
-_PAIRS = ((1, 4), (2, 3))
 
 
 def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
@@ -205,10 +204,10 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     q, joint = harmonics.q_coef, harmonics.joint_coef
     # the sets' deterministic optima, D = 1
     dets = [maximize_ratio(num, (1.0, 1.0, 0.0)) for num in joint.sum(axis=1).T.tolist()]
-    # both pairs' (u, v, s) tables at once: column 0 is outcomes 1 + 4,
-    # column 1 outcomes 2 + 3
-    dens = (q[:, [0, 1]] + q[:, [3, 2]]).T.tolist()
-    nums = (joint[:, [0, 1]] + joint[:, [3, 2]]).transpose(1, 2, 0).tolist()
+    # both pairs' (u, v, s) tables at once, one column per OUTCOME_PAIRS entry
+    first, second = np.subtract(OUTCOME_PAIRS, 1).T
+    dens = (q[:, first] + q[:, second]).T.tolist()
+    nums = (joint[:, first] + joint[:, second]).transpose(1, 2, 0).tolist()
     probs = [
         maximize_ratio(num, den, floor=MIN_PAIR_PROBABILITY, tie_tol=SUCCESS_TIE_TOL)
         for den, pair_nums in zip(dens, nums)
@@ -217,7 +216,7 @@ def _oracle_point(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     # candidate k is set k % 4 of pair k // 4; the deterministic protocol
     # keeps every outcome, and its D = 1 is its success rate
     results = []
-    for opts, pairs in ((dets, (None,)), (probs, _PAIRS)):
+    for opts, pairs in ((dets, (None,)), (probs, OUTCOME_PAIRS)):
         k = select([opt.value for opt in opts])
         results.append(labeled(*_SET_FAMILIES[k % 4], pairs[k // 4], *opts[k]))
     return tuple(results)

@@ -58,6 +58,19 @@ CORRECTION_KEYS = {
 BELL_COS = np.array([[1, 0, 0, 0], [0, 0, 0, -1], [0, 1, 0, 0], [0, 0, -1, 0]], dtype=float)
 BELL_SIN = np.array([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
 
+# the outcome pairs the probabilistic protocol may keep, in the canonical
+# order of every candidate list
+OUTCOME_PAIRS = ((1, 4), (2, 3))
+
+
+def pair_index(pair) -> int:
+    """The index in ``OUTCOME_PAIRS`` of ``pair``, given in either order;
+    any other pair is a ValueError."""
+    for k, known in enumerate(OUTCOME_PAIRS):
+        if sorted(pair) == sorted(known):
+            return k
+    raise ValueError(f"outcome pair {tuple(pair)} is not one of {OUTCOME_PAIRS}")
+
 
 @dataclass(frozen=True)
 class GeneralizedBellBasis:

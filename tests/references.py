@@ -89,10 +89,11 @@ from thermotele.spin_models import (
     require_temperature,
     thermal_state,
 )
-from thermotele.sweeps import _PAIRS, _SET_FAMILIES
+from thermotele.sweeps import _SET_FAMILIES
 from thermotele.teleport import (
     _U_BY_KEY,
     CORRECTION_KEYS,
+    OUTCOME_PAIRS,
     CorrectionLabel,
     GeneralizedBellBasis,
 )
@@ -507,7 +508,7 @@ def oracle_point_by_form(p: HeisenbergParams, kt: float, grid: QuadratureGrid):
     prob = probs[j]
     return (
         labeled(*_SET_FAMILIES[k], None, det_values[k], det_phis[k]),
-        labeled(*_SET_FAMILIES[j % 4], _PAIRS[j // 4], prob.value, prob.phi, prob.den),
+        labeled(*_SET_FAMILIES[j % 4], OUTCOME_PAIRS[j // 4], prob.value, prob.phi, prob.den),
     )
 
 

@@ -250,6 +250,44 @@ def test_unwritable_output_is_a_one_line_error(argv, work, tmp_path, capsys, mon
     assert err.count("\n") == 1
 
 
+# a report with a bounded check, an unbounded one and a failing one
+CANNED_REPORT = {
+    "checks": [
+        {"name": "bounded", "passed": True, "max_error": 3.0e-14, "bound": 1e-8,
+         "margin": 1e-8 - 3.0e-14, "wall_s": 0.023},
+        {"name": "unbounded", "passed": True, "max_error": 1.0e-15, "wall_s": 0.353},
+        {"name": "failing", "passed": False, "max_error": 0.0345, "wall_s": 0.004},
+    ],
+    "grid": {"n_alpha": 64, "n_gamma": 32},
+    "reconciliation": {"mapping": "flip_jz+swap_phi_psi", "cached": False, "wall_s": 0.044},
+}
+
+
+@pytest.mark.parametrize("cached, out", [(False, "report.json"), (True, None)])
+def test_validate_prints_one_line_per_check(cached, out, tmp_path, capsys, monkeypatch):
+    report = {**CANNED_REPORT, "reconciliation": {**CANNED_REPORT["reconciliation"],
+                                                  "cached": cached}}
+    calls = []
+
+    def canned(**kwargs):
+        calls.append(kwargs)
+        return 1, report
+
+    monkeypatch.setattr(cli, "validate", canned)
+    path = tmp_path / out if out else None
+    argv = ["validate", "--seed", "5", "--cases", "7"] + (["--out", str(path)] if out else [])
+    assert cli.main(argv) == 1
+    assert calls == [{"seed": 5, "cases": 7, "report_path": path}]
+    expected = [
+        "PASS  bounded  (max_error=3.000e-14, margin=1.000e-08, 0.02 s)",
+        "PASS  unbounded  (max_error=1.000e-15, 0.35 s)",
+        "FAIL  failing  (max_error=3.450e-02, 0.00 s)",
+        "quadrature grid: 64x32",
+        f"reconciliation: flip_jz+swap_phi_psi ({'cached' if cached else 'computed'}, 0.04 s)",
+    ] + ([f"report written to {path}"] if out else [])
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_exponents_are_silent(capsys):
     # beta times the energy gap overflows to inf; exp(-inf) = 0 is the

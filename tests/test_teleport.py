@@ -1,15 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from references import bell_basis_by_literals
 
+from thermotele.averaging import HarmonicAverages
+from thermotele.closed_form import reconciled_pair_rate
 from thermotele.densmat import DensityMatrix, PureQubit
 from thermotele.spin_models import HeisenbergParams, thermal_state
 from thermotele.teleport import (
+    OUTCOME_PAIRS,
     CorrectionLabel,
     bell_basis,
     correction_set,
+    pair_index,
     run_outcome,
 )
 
@@ -212,3 +217,42 @@ class TestRunOutcome:
         for bad in (2 * np.eye(4), np.triu(np.ones((4, 4))) / 4, np.eye(2) / 2):
             with pytest.raises(ValueError):
                 run_outcome(q, bad, basis, cs, 1)
+
+
+class TestOutcomePairs:
+    """The postselected pairs are stated once, in ``OUTCOME_PAIRS``; every
+    entry point that takes a pair reads it in either order and refuses any
+    other pair."""
+
+    P = HeisenbergParams(0.3, -1.2, 0.7, 0.5, 0.2)
+
+    def test_either_order_names_one_pair(self):
+        for k, (first, second) in enumerate(OUTCOME_PAIRS):
+            assert pair_index((first, second)) == pair_index((second, first)) == k
+
+    @pytest.mark.parametrize("pair", [(1, 2), (3, 4), (1, 3), (0, 4), (5, 1)])
+    def test_other_pairs_are_refused(self, pair):
+        harmonics = HarmonicAverages(thermal_state(self.P, 0.5).rho)
+        calls = [
+            lambda: reconciled_pair_rate(self.P, 2.0, 0.3, pair),
+            lambda: reconciled_pair_rate(
+                [self.P, self.P], [2.0, 1.0], [0.3, 0.4], [OUTCOME_PAIRS[0], pair]
+            ),
+            lambda: harmonics.pair_probability(0.3, pair),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"outcome pair {pair} ")) as info:
+                call()
+            assert "\n" not in str(info.value)
+
+    def test_reversed_pairs_give_the_same_bits(self):
+        harmonics = HarmonicAverages(thermal_state(self.P, 0.5).rho)
+        phis = np.linspace(0.0, math.pi, 7)
+        batch = ([self.P] * 7, np.full(7, 2.0), phis)
+        for pair in OUTCOME_PAIRS:
+            for rate in (
+                lambda pair: reconciled_pair_rate(self.P, 2.0, 0.3, pair),
+                lambda pair: reconciled_pair_rate(*batch, [pair] * 7),
+                lambda pair: harmonics.pair_probability(phis, pair),
+            ):
+                assert np.array(rate(pair[::-1])).tobytes() == np.array(rate(pair)).tobytes()
